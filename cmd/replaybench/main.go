@@ -69,8 +69,8 @@ type Run struct {
 	FramesPerSec float64 `json:"frames_per_sec"`
 	// AllocsPerFrame is the heap-allocation count per replayed frame
 	// (runtime Mallocs delta over the run, minimum across repeats —
-	// concurrent GC noise only ever inflates it). The pipeline configs
-	// run with buffer pooling on, so regressions here mean a new
+	// concurrent GC noise only ever inflates it). The pipeline always
+	// recycles its record buffers, so regressions here mean a new
 	// per-frame allocation crept into the hot path.
 	AllocsPerFrame float64 `json:"allocs_per_frame"`
 	// SpeedupVsSequential compares against the uninstrumented
@@ -117,10 +117,9 @@ type Report struct {
 	// FlightOverheadPct is the same median over the tracing+flight
 	// configurations: per-frame spans plus the flight recorder's ring
 	// buffer, compared against the same worker count uninstrumented.
-	// Since the plain runs adopted buffer pooling this figure also
-	// prices the pooling flight forgoes (the recorder retains record
-	// internals, so pooled buffers are off on that path) — it is the
-	// true cost of turning the forensic layer on, and it is large.
+	// Both sides recycle raw records; the traced side hands each
+	// decoded record to the recorder, so the figure is the whole cost
+	// of recording.
 	FlightOverheadPct float64 `json:"flight_overhead_pct"`
 	// FaultsOverheadPct is the same median over the fault-layer
 	// configurations: recovery-enabled capture reader plus the per-SA
@@ -227,9 +226,7 @@ func mallocsNow() uint64 {
 }
 
 // replayOnce runs one replay and returns its elapsed wall time and
-// heap allocations per frame. Pipeline runs enable buffer pooling —
-// the production hot-path shape — except when flight recording, which
-// retains record internals and therefore measures the allocating path.
+// heap allocations per frame.
 func replayOnce(capture []byte, model *core.Model, v *vehicle.Vehicle, workers, records, batch int, withMetrics, withFlight, withFaults, driftBase, withDrift, withSocket bool) (time.Duration, float64, error) {
 	// The socket configs replay the identical capture through a
 	// loopback unix socket — the daemon's live-ingestion shape: a
@@ -293,7 +290,7 @@ func replayOnce(capture []byte, model *core.Model, v *vehicle.Vehicle, workers, 
 		}
 	}
 	var im *ids.Metrics
-	cfg := pipeline.Config{Workers: workers, Batch: batch, PoolBuffers: !withFlight}
+	cfg := pipeline.Config{Workers: workers, Batch: batch}
 	if withMetrics {
 		reg := obs.NewRegistry()
 		cfg.Metrics = pipeline.NewMetrics(reg)
@@ -400,7 +397,7 @@ func fleetOnce(capture []byte, model *core.Model, v *vehicle.Vehicle, buses, wor
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cfg := pipeline.Config{Workers: workersPerBus, Batch: batch, Pool: pool, PoolBuffers: true}
+			cfg := pipeline.Config{Workers: workersPerBus, Batch: batch, Pool: pool}
 			var st pipeline.Stats
 			st, errs[b] = pipeline.Replay(rd, mon, cfg, sink)
 			if errs[b] == nil && st.RecordsOut != int64(records) {

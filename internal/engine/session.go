@@ -70,7 +70,10 @@ type Result struct {
 
 // Sink receives results in record order (per bus). A non-nil error
 // stops that bus's replay. A fleet serialises the calls, so one sink
-// may be shared across buses without locking.
+// may be shared across buses without locking. As with
+// pipeline.Result, a result's Record and Frame are valid only for the
+// duration of the call: their buffers are recycled once it returns,
+// so a sink that keeps them must copy.
 type Sink func(Result) error
 
 // Summary is everything a session learned by the end of its replay —

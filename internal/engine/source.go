@@ -17,11 +17,11 @@ import (
 // file itself, it consumes whatever stream is attached, indefinitely,
 // until the stream ends or Stop asks for a drain.
 //
-// StreamSource implements the pipeline's Source, RawSource and
-// NextRawInto refinements, so the zero-allocation batched hot path is
-// identical for a socket feed and a file replay — backpressure falls
-// out of the blocking Read: when the pipeline is saturated the source
-// simply reads the transport slower.
+// StreamSource implements the pipeline's Source and its NextRawInto
+// refinement, so the batched hot path — with its recycled record
+// buffers — is identical for a socket feed and a file replay.
+// Backpressure falls out of the blocking Read: when the pipeline is
+// saturated the source simply reads the transport slower.
 type StreamSource struct {
 	name    string
 	rd      *trace.Reader
@@ -159,16 +159,8 @@ func (s *StreamSource) Next() (*trace.Record, error) {
 	return s.rd.Next()
 }
 
-// NextRaw implements pipeline.RawSource.
-func (s *StreamSource) NextRaw() (*trace.RawRecord, error) {
-	if s.stopped.Load() {
-		return nil, io.EOF
-	}
-	return s.rd.NextRaw()
-}
-
-// NextRawInto implements the pipeline's zero-allocation refinement,
-// keeping Config.PoolBuffers effective over socket feeds.
+// NextRawInto refills a caller-owned raw record — the pipeline's fast
+// path, on which it recycles record buffers end to end.
 func (s *StreamSource) NextRawInto(rec *trace.RawRecord) error {
 	if s.stopped.Load() {
 		return io.EOF

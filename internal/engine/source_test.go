@@ -1,12 +1,16 @@
 package engine_test
 
 import (
+	"bytes"
 	"io"
+	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"vprofile/internal/engine"
+	"vprofile/internal/trace"
 )
 
 // TestSessionSnapshotMidStream streams a capture through a pipe,
@@ -124,4 +128,44 @@ func TestStreamSourceStopBeforeRun(t *testing.T) {
 		t.Fatalf("stopped source still replayed %d records", sum.Stats.RecordsOut)
 	}
 	pw.Close()
+}
+
+// TestSessionRecyclesRecordBuffers pins the session's record
+// lifecycle: replaying a capture file recycles the decoded records, so
+// the heap bytes allocated per frame stay well under one decoded
+// trace. A replay that allocated a fresh record per frame would spend
+// at least a full trace (8 bytes per sample) on every one.
+func TestSessionRecyclesRecordBuffers(t *testing.T) {
+	m := sharedModel(t)
+	data := buildCapture(t, 211, 1500, 100)
+	path := writeFile(t, filepath.Join(t.TempDir(), "c.vptr"), data)
+	rd, err := trace.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := rd.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	traceBytes := 8 * len(first.Trace)
+
+	// A small batch keeps the records in flight (and so the pool's
+	// warm-up) a small share of the replay.
+	sess := engine.NewSession(path, engine.WithModel(m), engine.WithWorkers(2), engine.WithBatch(4))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	sum, err := sess.Run(func(engine.Result) error { return nil })
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := sum.Stats.RecordsOut
+	perFrame := float64(after.TotalAlloc-before.TotalAlloc) / float64(frames)
+	t.Logf("%d frames, %.0f bytes allocated per frame, decoded trace %d bytes", frames, perFrame, traceBytes)
+	// Half a trace, not less: the race detector makes sync.Pool drop a
+	// quarter of its puts, which alone costs about a third of a trace.
+	if perFrame > float64(traceBytes)/2 {
+		t.Fatalf("replay allocated %.0f bytes per frame; a decoded trace is %d bytes, so records are not being recycled", perFrame, traceBytes)
+	}
 }

@@ -10,6 +10,7 @@ import (
 	"vprofile/internal/core"
 	"vprofile/internal/edgeset"
 	"vprofile/internal/obs"
+	"vprofile/internal/obs/tracing"
 )
 
 // Composite fuses the detector families into the full monitoring stack
@@ -46,8 +47,8 @@ type Composite struct {
 
 	// scratch pools per-goroutine extraction buffers for the concurrent
 	// VoltageVerdict hot path. Safe because core.Detection retains
-	// nothing from the extraction Result; the traced forensic path
-	// (which does retain the edge set) keeps the allocating Extract.
+	// nothing from the extraction Result, and the traced path copies
+	// the edge set it keeps.
 	scratch sync.Pool
 }
 
@@ -58,7 +59,7 @@ type Composite struct {
 // restarting the monitor.
 //
 // Consistency boundary: the composite calls AcquireModel exactly once
-// per frame, at the top of VoltageVerdict/VoltageVerdictTraced, and
+// per frame, at the top of VoltageVerdict, and
 // scores that entire frame against the returned model. One frame is
 // therefore always judged by a single model version end to end;
 // frames in flight across a swap may score against either version,
@@ -218,9 +219,17 @@ func (r CompositeResult) QuarantineChanged() bool { return r.SAState != r.PrevSA
 // conceptually belongs to the frame; the claimed source address is
 // decoded from the analog trace itself.
 //
+// A nil ft scores with Detect and opens no spans. With a FrameTrace
+// (owned by the calling goroutine) the call also opens "ids.extract"
+// and "ids.score" spans and leaves the verdict's evidence on the
+// trace's decision slot: a copy of the edge set and the per-cluster
+// explanation, which the flight recorder may retain. The Detection is
+// bit-for-bit identical either way (DetectExplainInto shares Detect's
+// arithmetic), and so is the metrics accounting.
+//
 // The model is acquired from the provider once, up front — the
 // hot-swap consistency boundary documented on ModelProvider.
-func (c *Composite) VoltageVerdict(frame *canbus.ExtendedFrame, tr analog.Trace) (core.Detection, error) {
+func (c *Composite) VoltageVerdict(frame *canbus.ExtendedFrame, tr analog.Trace, ft *tracing.FrameTrace) (core.Detection, error) {
 	model := c.models.AcquireModel()
 	sc, _ := c.scratch.Get().(*edgeset.Scratch)
 	if sc == nil {
@@ -228,31 +237,63 @@ func (c *Composite) VoltageVerdict(frame *canbus.ExtendedFrame, tr analog.Trace)
 	}
 	defer c.scratch.Put(sc)
 	m := c.metrics
-	if m == nil {
-		res, err := edgeset.ExtractInto(tr, c.extraction, sc)
-		if err != nil {
-			return core.Detection{}, err
-		}
-		return model.Detect(res.SA, res.Set), nil
-	}
 
-	t0 := time.Now()
+	// Extraction begins exactly where the preceding span (the worker's
+	// decode, normally) ended, and scoring begins exactly where
+	// extraction ends — sharing those boundary timestamps keeps the
+	// traced path at one clock read per span instead of two.
+	var sp *tracing.Span
+	if ft != nil {
+		sp = ft.StartSpanAt("ids.extract", ft.LastEnd())
+	}
+	var t0, t1 time.Time
+	if m != nil {
+		t0 = time.Now()
+	}
 	res, err := edgeset.ExtractInto(tr, c.extraction, sc)
-	t1 := time.Now()
-	m.ExtractSeconds.Observe(t1.Sub(t0).Seconds())
+	if m != nil {
+		t1 = time.Now()
+		m.ExtractSeconds.Observe(t1.Sub(t0).Seconds())
+	}
 	if err != nil {
-		m.extractFailed.Inc()
+		if ft != nil {
+			sp.SetAttr("error", err.Error())
+			sp.End()
+		}
+		if m != nil {
+			m.extractFailed.Inc()
+		}
 		return core.Detection{}, err
 	}
-	det := model.Detect(res.SA, res.Set)
-	m.ScoreSeconds.Observe(time.Since(t1).Seconds())
-	if det.Predict >= 0 {
-		m.Distance.Observe(det.MinDist)
-	}
-	if det.Anomaly {
-		m.voltageAnomaly.Inc()
+
+	var det core.Detection
+	if ft == nil {
+		det = model.Detect(res.SA, res.Set)
 	} else {
-		m.voltageOK.Inc()
+		ts := tracing.Now()
+		sp.SetAttr("sa", SALabel(uint8(res.SA)))
+		sp.EndAt(ts)
+		sp = ft.StartSpanAt("ids.score", ts)
+		var ex core.Explanation
+		det, ex = model.DetectExplainInto(res.SA, res.Set, ft.DistBuf())
+		// The extraction buffers belong to the pooled scratch, so the
+		// edge set is copied; the distances already live in the trace.
+		d := ft.DecisionSlot()
+		d.EdgeSet = append([]float64(nil), res.Set...)
+		d.Threshold, d.Margin, d.Distances = ex.Threshold, ex.Margin, ex.Distances
+		sp.SetAttr("reason", det.Reason.String())
+		sp.End()
+	}
+	if m != nil {
+		m.ScoreSeconds.Observe(time.Since(t1).Seconds())
+		if det.Predict >= 0 {
+			m.Distance.Observe(det.MinDist)
+		}
+		if det.Anomaly {
+			m.voltageAnomaly.Inc()
+		} else {
+			m.voltageOK.Inc()
+		}
 	}
 	return det, nil
 }
@@ -339,7 +380,7 @@ func (c *Composite) Sequence(frame *canbus.ExtendedFrame, at float64, voltage co
 // Process classifies one message. It is VoltageVerdict followed by
 // Sequence; the concurrent pipeline composes the same two halves.
 func (c *Composite) Process(frame *canbus.ExtendedFrame, tr analog.Trace, at float64) CompositeResult {
-	det, err := c.VoltageVerdict(frame, tr)
+	det, err := c.VoltageVerdict(frame, tr, nil)
 	return c.Sequence(frame, at, det, err)
 }
 

@@ -29,7 +29,7 @@ func TestVoltageVerdictConcurrent(t *testing.T) {
 	want := make([]core.Detection, len(msgs))
 	wantErr := make([]error, len(msgs))
 	for i, m := range msgs {
-		want[i], wantErr[i] = c.VoltageVerdict(m.Frame, m.Trace)
+		want[i], wantErr[i] = c.VoltageVerdict(m.Frame, m.Trace, nil)
 	}
 
 	const workers = 8
@@ -41,7 +41,7 @@ func TestVoltageVerdictConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(msgs); i += workers {
-				got[i], gotErr[i] = c.VoltageVerdict(msgs[i].Frame, msgs[i].Trace)
+				got[i], gotErr[i] = c.VoltageVerdict(msgs[i].Frame, msgs[i].Trace, nil)
 			}
 		}(w)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"vprofile/internal/canbus"
 	"vprofile/internal/ids"
+	"vprofile/internal/obs/tracing"
 	"vprofile/internal/pipeline"
 	"vprofile/internal/trace"
 	"vprofile/internal/vehicle"
@@ -17,9 +18,9 @@ import (
 // TestBatchedPipelineMatchesSequential is the determinism contract of
 // the batched transport: for every worker count × batch size — batch 1
 // (per-record degenerate case), a ragged size that never divides the
-// record count evenly, and the default — with buffer pooling on, the
-// verdict stream must be bit-identical to sequential Process, in
-// order, with nothing dropped.
+// record count evenly, and the default — with record buffers
+// recycling, the verdict stream must be bit-identical to sequential
+// Process, in order, with nothing dropped.
 func TestBatchedPipelineMatchesSequential(t *testing.T) {
 	v := vehicle.NewVehicleB()
 	model := buildModel(t, v)
@@ -59,7 +60,7 @@ func TestBatchedPipelineMatchesSequential(t *testing.T) {
 					t.Fatal(err)
 				}
 				mon := newMonitor(t, v, model)
-				p, err := pipeline.New(mon, pipeline.Config{Workers: workers, Batch: batch, PoolBuffers: true})
+				p, err := pipeline.New(mon, pipeline.Config{Workers: workers, Batch: batch})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -97,64 +98,72 @@ func TestBatchedPipelineMatchesSequential(t *testing.T) {
 // channel, and held in the reorder map — and none of them may leak a
 // pooled buffer or strand the shared pool's worker slots. The second
 // replay over the same pool is the stranded-slot check: it only
-// completes if every slot came back.
+// completes if every slot came back. The traced case attaches a
+// flight recorder, to which delivered records are handed instead of
+// recycled; those hand-offs must count as releases.
 func TestAbandonedBatchReleasesBuffers(t *testing.T) {
 	v := vehicle.NewVehicleB()
 	model := buildModel(t, v)
 	capture := buildCapture(t, v)
 
-	pool := pipeline.NewPool(4)
-	defer pool.Close()
+	for _, traced := range []bool{false, true} {
+		t.Run(fmt.Sprintf("traced=%v", traced), func(t *testing.T) {
+			pool := pipeline.NewPool(4)
+			defer pool.Close()
+			config := func() pipeline.Config {
+				cfg := pipeline.Config{Pool: pool, Batch: 7}
+				if traced {
+					rec, err := tracing.NewRecorder(tracing.RecorderConfig{Window: 4})
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { rec.Close() })
+					cfg.Recorder = rec
+				}
+				return cfg
+			}
 
-	sinkErr := errors.New("sink exploded")
-	rd, err := trace.NewReader(bytes.NewReader(capture))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon := newMonitor(t, v, model)
-	p, err := pipeline.New(mon, pipeline.Config{Pool: pool, Batch: 7, PoolBuffers: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	delivered := 0
-	err = p.Run(rd, func(r pipeline.Result) error {
-		delivered++
-		if delivered == 10 {
-			return sinkErr
-		}
-		return nil
-	})
-	if !errors.Is(err, sinkErr) {
-		t.Fatalf("err = %v, want the sink error", err)
-	}
-	if delivered != 10 {
-		t.Fatalf("sink saw %d results, want 10", delivered)
-	}
-	if n := p.OutstandingBuffers(); n != 0 {
-		t.Fatalf("%d pooled buffers leaked by the abandoned replay", n)
-	}
+			sinkErr := errors.New("sink exploded")
+			p, err := pipeline.New(newMonitor(t, v, model), config())
+			if err != nil {
+				t.Fatal(err)
+			}
+			delivered := 0
+			err = p.Run(newReaderFor(t, capture), func(r pipeline.Result) error {
+				delivered++
+				if delivered == 10 {
+					return sinkErr
+				}
+				return nil
+			})
+			if !errors.Is(err, sinkErr) {
+				t.Fatalf("err = %v, want the sink error", err)
+			}
+			if delivered != 10 {
+				t.Fatalf("sink saw %d results, want 10", delivered)
+			}
+			if n := p.OutstandingBuffers(); n != 0 {
+				t.Fatalf("%d pooled buffers leaked by the abandoned replay", n)
+			}
 
-	// Stranded-slot check: the same shared pool must still have all
-	// its workers, or this replay wedges (watchdogless, it would hang
-	// the test run — loudly).
-	rd2, err := trace.NewReader(bytes.NewReader(capture))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon2 := newMonitor(t, v, model)
-	p2, err := pipeline.New(mon2, pipeline.Config{Pool: pool, Batch: 7, PoolBuffers: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := 0
-	if err := p2.Run(rd2, func(pipeline.Result) error { count++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if count == 0 {
-		t.Fatal("second replay on the shared pool delivered nothing")
-	}
-	if n := p2.OutstandingBuffers(); n != 0 {
-		t.Fatalf("%d pooled buffers outstanding after the clean second replay", n)
+			// Stranded-slot check: the same shared pool must still have
+			// all its workers, or this replay wedges (watchdogless, it
+			// would hang the test run — loudly).
+			p2, err := pipeline.New(newMonitor(t, v, model), config())
+			if err != nil {
+				t.Fatal(err)
+			}
+			count := 0
+			if err := p2.Run(newReaderFor(t, capture), func(pipeline.Result) error { count++; return nil }); err != nil {
+				t.Fatal(err)
+			}
+			if count == 0 {
+				t.Fatal("second replay on the shared pool delivered nothing")
+			}
+			if n := p2.OutstandingBuffers(); n != 0 {
+				t.Fatalf("%d pooled buffers outstanding after the clean second replay", n)
+			}
+		})
 	}
 }
 
@@ -170,7 +179,7 @@ func TestSourceErrorFlushesPrefixUnderBatching(t *testing.T) {
 	srcErr := errors.New("source corrupted")
 	src := &errorSource{src: newReaderFor(t, capture), n: 25, err: srcErr}
 	mon := newMonitor(t, v, model)
-	p, err := pipeline.New(mon, pipeline.Config{Workers: 4, Batch: 8, PoolBuffers: true})
+	p, err := pipeline.New(mon, pipeline.Config{Workers: 4, Batch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

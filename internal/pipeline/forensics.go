@@ -9,24 +9,25 @@ import (
 
 // buildDecision flattens one frame's verdict, evidence and detector
 // state into the flight recorder's record. Every slice handed over is
-// either freshly allocated here or owned exclusively by this frame
-// (the record's payload and trace, the extracted edge set), honouring
-// the recorder's immutability contract.
+// either freshly allocated or owned exclusively by this frame (the
+// record's payload and trace, which the replay hands to the recorder
+// instead of recycling, and the edge set VoltageVerdict copied),
+// honouring the recorder's immutability contract.
 func buildDecision(idx int, cur scored, verdict ids.CompositeResult, state ids.SequenceState) *tracing.Decision {
 	// The record lives in the FrameTrace's own allocation — the trace,
-	// its spans and the decision are one per-frame object.
+	// its spans and the decision are one per-frame object. On a scored
+	// frame VoltageVerdict has already filled in the voltage evidence
+	// (edge set, distances, threshold, margin).
 	d := cur.ft.DecisionSlot()
-	*d = tracing.Decision{
-		Trace:    cur.ft.ID,
-		Index:    idx,
-		TimeSec:  cur.rec.TimeSec,
-		FrameID:  cur.rec.FrameID,
-		SA:       uint8(cur.frame.SA()),
-		Data:     cur.rec.Data,
-		ECUIndex: cur.rec.ECUIndex,
-		Spans:    cur.ft.Spans,
-		Samples:  cur.rec.Trace,
-	}
+	d.Trace = cur.ft.ID
+	d.Index = idx
+	d.TimeSec = cur.rec.TimeSec
+	d.FrameID = cur.rec.FrameID
+	d.SA = uint8(cur.frame.SA())
+	d.Data = cur.rec.Data
+	d.ECUIndex = cur.rec.ECUIndex
+	d.Spans = cur.ft.Spans
+	d.Samples = cur.rec.Trace
 
 	if verdict.ExtractErr != nil {
 		d.ExtractErr = verdict.ExtractErr.Error()
@@ -44,13 +45,6 @@ func buildDecision(idx int, cur scored, verdict ids.CompositeResult, state ids.S
 		d.Expected = int(v.Expected)
 		d.Predicted = int(v.Predict)
 		d.MinDist = v.MinDist
-		ex := cur.forensics.Explain
-		d.Threshold = ex.Threshold
-		d.Margin = ex.Margin
-		d.EdgeSet = cur.forensics.EdgeSet
-		// The distance slice lives in this frame's own trace storage and
-		// the detector never touches it again, so the record owns it.
-		d.Distances = ex.Distances
 		if v.Anomaly && !verdict.Suppressed {
 			d.Alarms = append(d.Alarms, tracing.AlarmVoltage)
 		}

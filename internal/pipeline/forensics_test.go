@@ -3,11 +3,14 @@ package pipeline_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"slices"
 	"testing"
 
 	"vprofile/internal/canbus"
 	"vprofile/internal/core"
+	"vprofile/internal/edgeset"
 	"vprofile/internal/ids"
 	"vprofile/internal/obs/tracing"
 	"vprofile/internal/pipeline"
@@ -125,88 +128,118 @@ func TestFlightRecorderDeterminism(t *testing.T) {
 // bundle directory and checks each persisted bundle against the
 // sequential reference: the decision record must reproduce the
 // alarm's Mahalanobis distances exactly — both as stored and when
-// re-scored from the record's own edge set.
+// re-scored from the record's own edge set. Every decision's payload
+// and samples must equal the capture's record at its index, and the
+// alarm's edge set a fresh extraction of that record: the replay
+// recycles record buffers, and a buffer recycled under a retained
+// decision would corrupt the bundle without changing any verdict.
+// Batch 3 recycles buffers often while decisions are held.
 func TestFlightBundleReproducesAlarm(t *testing.T) {
 	v := vehicle.NewVehicleB()
 	model := buildModel(t, v)
 	capture := buildCapture(t, v)
 	want := sequentialVerdicts(t, v, model, capture)
-
-	dir := t.TempDir()
-	rd, err := trace.NewReader(bytes.NewReader(capture))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := tracing.NewRecorder(tracing.RecorderConfig{
-		Window: 4, Keep: 1 << 20, Dir: dir,
-		Header: trace.Header{Vehicle: v.Name, BitRate: v.BitRate, ADC: v.ADC},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon := newMonitor(t, v, model)
-	_, err = pipeline.Replay(rd, mon, pipeline.Config{Workers: 4, Recorder: rec}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-	bundles := rec.Bundles()
-	if len(bundles) == 0 {
-		t.Fatal("hijack replay produced no bundles")
-	}
-
-	voltageChecked := 0
-	for _, meta := range bundles {
-		if meta.Path == "" {
-			t.Fatalf("bundle %d was not persisted", meta.Seq)
+	var records []*trace.Record
+	rd := newReaderFor(t, capture)
+	for {
+		r, err := rd.Next()
+		if errors.Is(err, io.EOF) {
+			break
 		}
-		b, err := tracing.ReadBundle(meta.Path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		alarm := b.Alarm()
-		if alarm == nil {
-			t.Fatalf("bundle %d has no alarm decision", b.Seq)
-		}
-		ref := want[alarm.Index]
-		if alarm.Anomaly != ref.Anomalous() {
-			t.Fatalf("bundle %d alarm flag %v, sequential %v", b.Seq, alarm.Anomaly, ref.Anomalous())
-		}
-		if ref.ExtractErr != nil || !ref.Voltage.Anomaly {
-			continue // timing/transport alarm: no voltage evidence to check
-		}
-		voltageChecked++
-		d := ref.Voltage
-		if alarm.MinDist != d.MinDist || alarm.Expected != int(d.Expected) || alarm.Predicted != int(d.Predict) {
-			t.Fatalf("bundle %d records dist %v cluster %d→%d, sequential %v %d→%d",
-				b.Seq, alarm.MinDist, alarm.Expected, alarm.Predicted, d.MinDist, d.Expected, d.Predict)
-		}
-		if alarm.Margin != model.Margin {
-			t.Fatalf("bundle %d margin %v, model %v", b.Seq, alarm.Margin, model.Margin)
-		}
-		if len(alarm.Distances) != len(model.Clusters) {
-			t.Fatalf("bundle %d has %d cluster distances, model has %d", b.Seq, len(alarm.Distances), len(model.Clusters))
-		}
-		// Re-score the persisted edge set: the JSON round trip is exact,
-		// so the model must land on the identical distances.
-		_, ex := model.DetectExplain(canbus.SourceAddress(alarm.SA), alarm.EdgeSet)
-		for i, cd := range ex.Distances {
-			got := alarm.Distances[i]
-			if got.ID != cd.ID || got.Dist != cd.Dist {
-				t.Fatalf("bundle %d cluster %d distance %v, re-scored %v", b.Seq, got.ID, got.Dist, cd.Dist)
-			}
-		}
-		if ex.Threshold != alarm.Threshold {
-			t.Fatalf("bundle %d threshold %v, re-scored %v", b.Seq, alarm.Threshold, ex.Threshold)
-		}
-		if len(alarm.Samples) == 0 {
-			t.Fatalf("bundle %d alarm has no waveform samples", b.Seq)
-		}
+		records = append(records, r)
 	}
-	if voltageChecked == 0 {
-		t.Fatal("no voltage-alarm bundle was verified")
+
+	for _, batch := range []int{pipeline.DefaultBatch, 3} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			dir := t.TempDir()
+			rec, err := tracing.NewRecorder(tracing.RecorderConfig{
+				Window: 4, Keep: 1 << 20, Dir: dir,
+				Header: trace.Header{Vehicle: v.Name, BitRate: v.BitRate, ADC: v.ADC},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mon := newMonitor(t, v, model)
+			cfg := pipeline.Config{Workers: 4, Batch: batch, Recorder: rec}
+			if _, err := pipeline.Replay(newReaderFor(t, capture), mon, cfg, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := rec.Close(); err != nil {
+				t.Fatal(err)
+			}
+			bundles := rec.Bundles()
+			if len(bundles) == 0 {
+				t.Fatal("hijack replay produced no bundles")
+			}
+
+			voltageChecked := 0
+			for _, meta := range bundles {
+				if meta.Path == "" {
+					t.Fatalf("bundle %d was not persisted", meta.Seq)
+				}
+				b, err := tracing.ReadBundle(meta.Path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, d := range b.Decisions {
+					src := records[d.Index]
+					if !bytes.Equal(d.Data, src.Data) || !slices.Equal(d.Samples, src.Trace) {
+						t.Fatalf("bundle %d decision %d: payload or samples differ from the capture record", b.Seq, d.Index)
+					}
+				}
+				alarm := b.Alarm()
+				if alarm == nil {
+					t.Fatalf("bundle %d has no alarm decision", b.Seq)
+				}
+				ref := want[alarm.Index]
+				if alarm.Anomaly != ref.Anomalous() {
+					t.Fatalf("bundle %d alarm flag %v, sequential %v", b.Seq, alarm.Anomaly, ref.Anomalous())
+				}
+				if ref.ExtractErr != nil || !ref.Voltage.Anomaly {
+					continue // timing/transport alarm: no voltage evidence to check
+				}
+				voltageChecked++
+				d := ref.Voltage
+				if alarm.MinDist != d.MinDist || alarm.Expected != int(d.Expected) || alarm.Predicted != int(d.Predict) {
+					t.Fatalf("bundle %d records dist %v cluster %d→%d, sequential %v %d→%d",
+						b.Seq, alarm.MinDist, alarm.Expected, alarm.Predicted, d.MinDist, d.Expected, d.Predict)
+				}
+				if alarm.Margin != model.Margin {
+					t.Fatalf("bundle %d margin %v, model %v", b.Seq, alarm.Margin, model.Margin)
+				}
+				if len(alarm.Distances) != len(model.Clusters) {
+					t.Fatalf("bundle %d has %d cluster distances, model has %d", b.Seq, len(alarm.Distances), len(model.Clusters))
+				}
+				fresh, err := edgeset.Extract(records[alarm.Index].Trace, v.ExtractionConfig())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(alarm.EdgeSet, fresh.Set) {
+					t.Fatalf("bundle %d edge set differs from a fresh extraction of its record", b.Seq)
+				}
+				// Re-score the persisted edge set: the JSON round trip is
+				// exact, so the model must land on the identical distances.
+				_, ex := model.DetectExplain(canbus.SourceAddress(alarm.SA), alarm.EdgeSet)
+				for i, cd := range ex.Distances {
+					got := alarm.Distances[i]
+					if got.ID != cd.ID || got.Dist != cd.Dist {
+						t.Fatalf("bundle %d cluster %d distance %v, re-scored %v", b.Seq, got.ID, got.Dist, cd.Dist)
+					}
+				}
+				if ex.Threshold != alarm.Threshold {
+					t.Fatalf("bundle %d threshold %v, re-scored %v", b.Seq, alarm.Threshold, ex.Threshold)
+				}
+				if len(alarm.Samples) == 0 {
+					t.Fatalf("bundle %d alarm has no waveform samples", b.Seq)
+				}
+			}
+			if voltageChecked == 0 {
+				t.Fatal("no voltage-alarm bundle was verified")
+			}
+		})
 	}
 }
 

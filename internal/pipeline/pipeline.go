@@ -51,16 +51,12 @@ type Source interface {
 	Next() (*trace.Record, error)
 }
 
-// RawSource is the fast path: sources that can hand out records with
-// still-packed sample codes let the pipeline move the float64
-// expansion into the worker pool. *trace.Reader implements it.
-type RawSource interface {
-	NextRaw() (*trace.RawRecord, error)
-}
-
-// rawIntoSource is the zero-allocation refinement of RawSource:
-// sources that can refill a caller-owned raw record (*trace.Reader)
-// enable Config.PoolBuffers to recycle record buffers end to end.
+// rawIntoSource is the fast path: sources that can refill a
+// caller-owned raw record with still-packed sample codes
+// (*trace.Reader, engine.StreamSource) move the float64 expansion
+// into the worker pool and let the replay recycle record buffers end
+// to end. Records from any other Source are the source's own and are
+// never recycled.
 type rawIntoSource interface {
 	NextRawInto(*trace.RawRecord) error
 }
@@ -90,17 +86,6 @@ type Config struct {
 	// bounding how far the reader may run ahead of the sink (roughly
 	// Depth×Batch records per channel); zero means 4×Workers.
 	Depth int
-	// PoolBuffers recycles record buffers (raw byte payloads and
-	// decoded traces) through sync.Pools instead of allocating per
-	// frame — at replay rates the per-frame trace alone is tens of
-	// kilobytes, enough to make the allocator and GC the bottleneck.
-	// The cost is an aliasing contract: a Result's Record (its Data and
-	// Trace) is valid only for the duration of the sink call and must
-	// be copied if retained. Ignored on traced replays (Recorder set),
-	// whose forensic bundles retain record internals indefinitely, and
-	// on sources that cannot refill caller-owned records (anything but
-	// a trace.Reader-style RawSource).
-	PoolBuffers bool
 	// Metrics, when non-nil, makes the pipeline publish per-stage
 	// counters, latency histograms and the reorder-queue depth gauge
 	// (see NewMetrics). Instrumentation is atomic-only on the hot path
@@ -135,6 +120,11 @@ var ErrStalled = errors.New("pipeline: replay stalled (sink made no progress wit
 
 // Result is one record's verdict, delivered to the sink in record
 // order.
+//
+// Record (its Data and Trace) and Frame (whose Data aliases the
+// record's) are valid only for the duration of the sink call: the
+// replay recycles record buffers once the sink returns, so a sink
+// that retains them past the call must copy.
 type Result struct {
 	Index   int
 	Record  *trace.Record
@@ -189,11 +179,9 @@ type Replayer struct {
 	recorder *tracing.Recorder
 	stall    time.Duration
 
-	// poolBuffers is the Config.PoolBuffers request; rc is the buffer
-	// recycler Run builds once it knows whether the source supports
-	// record refilling (rc.records is the effective decision).
-	poolBuffers bool
-	rc          *recycler
+	// rc is the buffer recycler Run builds once it knows whether the
+	// source can refill caller-owned records.
+	rc *recycler
 
 	ran             atomic.Bool
 	recordsIn       atomic.Int64
@@ -231,7 +219,6 @@ func New(mon *ids.Composite, cfg Config) (*Replayer, error) {
 	return &Replayer{
 		mon: mon, pool: cfg.Pool, workers: workers, batch: batch, depth: depth,
 		metrics: cfg.Metrics, recorder: cfg.Recorder, stall: cfg.StallTimeout,
-		poolBuffers: cfg.PoolBuffers,
 	}, nil
 }
 
@@ -264,11 +251,11 @@ type job struct {
 	ft    *tracing.FrameTrace
 }
 
-// scored is a job annotated with its stateless verdict.
+// scored is a job annotated with its stateless verdict. On a traced
+// replay the verdict's evidence travels on the job's FrameTrace.
 type scored struct {
 	job
 	det        core.Detection
-	forensics  ids.Forensics
 	extractErr error
 }
 
@@ -291,14 +278,9 @@ func (p *Replayer) processBatch(jobs []job, out chan<- []scored, abandon <-chan 
 		}
 		if j.raw != nil {
 			sp := j.ft.StartSpan("pipeline.decode")
-			if rc.records {
-				rec := rc.getRec()
-				j.raw.DecodeInto(rec)
-				rc.putRaw(j.raw)
-				j.rec = rec
-			} else {
-				j.rec = j.raw.Decode()
-			}
+			j.rec = rc.getRec()
+			j.raw.DecodeInto(j.rec)
+			rc.putRaw(j.raw)
 			j.raw = nil
 			sp.End()
 			if m != nil {
@@ -306,21 +288,14 @@ func (p *Replayer) processBatch(jobs []job, out chan<- []scored, abandon <-chan 
 			}
 		}
 		j.frame = &canbus.ExtendedFrame{ID: j.rec.FrameID, Data: j.rec.Data}
-		var det core.Detection
-		var forensics ids.Forensics
-		var err error
-		if j.ft != nil {
-			det, forensics, err = p.mon.VoltageVerdictTraced(j.frame, j.rec.Trace, j.ft)
-		} else {
-			det, err = p.mon.VoltageVerdict(j.frame, j.rec.Trace)
-		}
+		det, err := p.mon.VoltageVerdict(j.frame, j.rec.Trace, j.ft)
 		if err != nil {
 			p.extractFailures.Add(1)
 			if m != nil {
 				m.ExtractFailures.Inc()
 			}
 		}
-		sb = append(sb, scored{job: j, det: det, forensics: forensics, extractErr: err})
+		sb = append(sb, scored{job: j, det: det, extractErr: err})
 		// Per-record, not per-batch: the stall watchdog reads this as
 		// its liveness signal, and a large batch mid-scoring must look
 		// like progress, not a wedge.
@@ -354,12 +329,8 @@ func (p *Replayer) Run(src Source, fn Sink) error {
 		p.wallNanos.Store(time.Now().UnixNano() - p.startNanos.Load())
 	}()
 
-	// Record-buffer recycling needs a source that can refill
-	// caller-owned records and a sink path that retains nothing past
-	// the sink call — traced replays retain forensics, so they keep
-	// allocating regardless of the request.
 	intoSrc, _ := src.(rawIntoSource)
-	p.rc = newRecycler(p.batch, p.poolBuffers && p.recorder == nil && intoSrc != nil)
+	p.rc = newRecycler(p.batch, intoSrc != nil)
 	rc := p.rc
 
 	jobs := make(chan []job, p.depth)
@@ -435,13 +406,12 @@ func (p *Replayer) Run(src Source, fn Sink) error {
 	}
 
 	// Stage 1: the reader tags records with their stream index and
-	// accumulates them into batches. With a RawSource the samples stay
+	// accumulates them into batches. From a raw source the samples stay
 	// packed here and inflate in the workers, keeping the serial stage
-	// as thin as the format allows; with buffer recycling on, the raw
-	// records themselves come from the pool. A source error does not
-	// abandon the replay: the partial batch already read is flushed so
-	// the sink sees the complete prefix before the error surfaces.
-	rawSrc, _ := src.(RawSource)
+	// as thin as the format allows, and the raw records themselves come
+	// from the pool. A source error does not abandon the replay: the
+	// partial batch already read is flushed so the sink sees the
+	// complete prefix before the error surfaces.
 	go func() {
 		defer close(jobs)
 		batch := rc.getJobBatch()
@@ -471,48 +441,26 @@ func (p *Replayer) Run(src Source, fn Sink) error {
 				j.ft = tracing.NewFrameTrace(tracing.TraceID(idx) + 1)
 				sp = j.ft.StartSpan("pipeline.read")
 			}
-			if rc.records {
-				raw := rc.getRaw()
-				err := intoSrc.NextRawInto(raw)
-				if err != nil {
-					rc.putRaw(raw)
-					if !errors.Is(err, io.EOF) {
-						setErr(err)
-					}
-					flush()
-					if batch != nil {
-						rc.putJobBatch(batch)
-					}
-					return
+			var err error
+			if intoSrc != nil {
+				j.raw = rc.getRaw()
+				if err = intoSrc.NextRawInto(j.raw); err != nil {
+					rc.putRaw(j.raw)
 				}
-				j.idx, j.raw = idx, raw
-			} else if rawSrc != nil {
-				raw, err := rawSrc.NextRaw()
-				if err != nil {
-					if !errors.Is(err, io.EOF) {
-						setErr(err)
-					}
-					flush()
-					if batch != nil {
-						rc.putJobBatch(batch)
-					}
-					return
-				}
-				j.idx, j.raw = idx, raw
 			} else {
-				rec, err := src.Next()
-				if err != nil {
-					if !errors.Is(err, io.EOF) {
-						setErr(err)
-					}
-					flush()
-					if batch != nil {
-						rc.putJobBatch(batch)
-					}
-					return
-				}
-				j.idx, j.rec = idx, rec
+				j.rec, err = src.Next()
 			}
+			if err != nil {
+				if !errors.Is(err, io.EOF) {
+					setErr(err)
+				}
+				flush()
+				if batch != nil {
+					rc.putJobBatch(batch)
+				}
+				return
+			}
+			j.idx = idx
 			sp.End()
 			p.recordsIn.Add(1)
 			if m := p.metrics; m != nil {
@@ -626,9 +574,12 @@ func (p *Replayer) Run(src Source, fn Sink) error {
 				p.recorder.Record(buildDecision(next, cur, verdict, state))
 			}
 			err := fn(Result{Index: next, Record: cur.rec, Frame: cur.frame, Verdict: verdict, Trace: cur.ft})
-			if rc.records {
-				// The sink call is over; the PoolBuffers contract says the
-				// record may now be recycled.
+			if p.recorder != nil {
+				// The decision retains the record's payload and samples,
+				// so the record is the recorder's now, not the pool's.
+				rc.handOff(cur.rec)
+			} else {
+				// The sink call is over; the record may now be recycled.
 				rc.putRec(cur.rec)
 			}
 			if m != nil {
@@ -697,7 +648,7 @@ func Sequential(src Source, mon *ids.Composite, fn Sink) (Stats, error) {
 		stats.RecordsIn++
 		frame := &canbus.ExtendedFrame{ID: rec.FrameID, Data: rec.Data}
 		t0 := time.Now()
-		det, extractErr := mon.VoltageVerdict(frame, rec.Trace)
+		det, extractErr := mon.VoltageVerdict(frame, rec.Trace, nil)
 		stats.WorkerBusy += time.Since(t0)
 		if extractErr != nil {
 			stats.ExtractFailures++

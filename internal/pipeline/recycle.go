@@ -9,15 +9,18 @@ import (
 
 // recycler pools the pipeline's per-batch and per-record buffers so
 // the steady-state hot path stops allocating. Batch slices are always
-// pooled; raw/decoded record buffers only when records is true (the
-// Config.PoolBuffers opt-in, and never on traced replays, whose
-// forensic bundles retain record internals past the sink call).
+// pooled; raw/decoded record buffers when records is true, i.e. the
+// source refills caller-owned raw records — an in-memory Source's
+// records are its own and are never put back. A decoded record whose
+// frame was traced is handed to the flight recorder instead of being
+// put back (handOff): its decision retains the payload and samples.
 //
-// outstanding counts gets minus puts across every pooled object kind.
-// It exists for leak accounting in tests: a replay that ends — cleanly,
-// on a sink error, or abandoned mid-batch — must return every buffer
-// it took, or an abandoned batch would strand its buffers (and, before
-// this accounting existed, silently mask a stranded worker slot).
+// outstanding counts gets minus puts (and hand-offs) across every
+// pooled object kind. It exists for leak accounting in tests: a
+// replay that ends — cleanly, on a sink error, or abandoned mid-batch
+// — must return every buffer it took, or an abandoned batch would
+// strand its buffers (and, before this accounting existed, silently
+// mask a stranded worker slot).
 type recycler struct {
 	batch   int
 	records bool
@@ -79,22 +82,32 @@ func (rc *recycler) getRec() *trace.Record {
 	return rc.recs.Get().(*trace.Record)
 }
 
+// putRec recycles a decoded record; a no-op for records the source
+// owns (records false).
 func (rc *recycler) putRec(r *trace.Record) {
-	if r == nil {
+	if r == nil || !rc.records {
 		return
 	}
 	rc.outstanding.Add(-1)
 	rc.recs.Put(r)
 }
 
-// releaseJobs returns an abandoned job batch and, in record-pooling
-// mode, every record buffer still travelling in it.
+// handOff releases a pooled decoded record to a new owner for good —
+// the flight recorder, whose decision retains it — without putting it
+// back, so it leaves the leak accounting balanced.
+func (rc *recycler) handOff(r *trace.Record) {
+	if r == nil || !rc.records {
+		return
+	}
+	rc.outstanding.Add(-1)
+}
+
+// releaseJobs returns an abandoned job batch and every pooled record
+// buffer still travelling in it.
 func (rc *recycler) releaseJobs(b []job) {
-	if rc.records {
-		for i := range b {
-			rc.putRaw(b[i].raw)
-			rc.putRec(b[i].rec)
-		}
+	for i := range b {
+		rc.putRaw(b[i].raw)
+		rc.putRec(b[i].rec)
 	}
 	rc.putJobBatch(b)
 }
@@ -102,25 +115,15 @@ func (rc *recycler) releaseJobs(b []job) {
 // releaseScored returns an abandoned scored batch and its record
 // buffers (raw is nil by this stage; the decoded record may be pooled).
 func (rc *recycler) releaseScored(b []scored) {
-	rc.releaseScoredEntries(b)
+	for i := range b {
+		rc.releaseScoredEntry(b[i])
+	}
 	rc.putScoredBatch(b)
 }
 
-// releaseScoredEntries returns only the record buffers of entries that
-// were copied out of their batch (the reorder stage's pending map).
-func (rc *recycler) releaseScoredEntries(b []scored) {
-	if rc.records {
-		for i := range b {
-			rc.putRaw(b[i].raw)
-			rc.putRec(b[i].rec)
-		}
-	}
-}
-
-// releaseScoredEntry is releaseScoredEntries for one map-held entry.
+// releaseScoredEntry returns the record buffers of one entry copied
+// out of its batch (the reorder stage's pending map).
 func (rc *recycler) releaseScoredEntry(s scored) {
-	if rc.records {
-		rc.putRaw(s.raw)
-		rc.putRec(s.rec)
-	}
+	rc.putRaw(s.raw)
+	rc.putRec(s.rec)
 }

@@ -65,6 +65,10 @@ type Record struct {
 type Writer struct {
 	w   *bufio.Writer
 	err error
+	// scratch encodes one fixed-width field. It lives in the Writer
+	// because a local array passed to bufio.Writer.Write escapes, which
+	// would cost one heap allocation per sample.
+	scratch [8]byte
 }
 
 // NewWriter writes the header and returns a record writer.
@@ -133,25 +137,22 @@ func (w *Writer) Flush() error {
 
 func (w *Writer) u16(v uint16) {
 	if w.err == nil {
-		var b [2]byte
-		binary.LittleEndian.PutUint16(b[:], v)
-		_, w.err = w.w.Write(b[:])
+		binary.LittleEndian.PutUint16(w.scratch[:], v)
+		_, w.err = w.w.Write(w.scratch[:2])
 	}
 }
 
 func (w *Writer) u32(v uint32) {
 	if w.err == nil {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		_, w.err = w.w.Write(b[:])
+		binary.LittleEndian.PutUint32(w.scratch[:], v)
+		_, w.err = w.w.Write(w.scratch[:4])
 	}
 }
 
 func (w *Writer) f64(v float64) {
 	if w.err == nil {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		_, w.err = w.w.Write(b[:])
+		binary.LittleEndian.PutUint64(w.scratch[:], math.Float64bits(v))
+		_, w.err = w.w.Write(w.scratch[:8])
 	}
 }
 

@@ -97,6 +97,27 @@ func TestWriteRejectsOversizeData(t *testing.T) {
 	}
 }
 
+// TestWriteDoesNotAllocate pins the writer's per-sample encoding to
+// the Writer's own scratch: writing a 5k-sample record must not touch
+// the heap (a per-field temporary escapes through bufio.Writer.Write).
+func TestWriteDoesNotAllocate(t *testing.T) {
+	w, err := NewWriter(io.Discard, sampleHeader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &Record{ECUIndex: 3, TimeSec: 1.5, FrameID: 0x0CF00400, Data: []byte{1, 2, 3}, Trace: make(analog.Trace, 5000)}
+	for i := range rec.Trace {
+		rec.Trace[i] = float64(i % 4096)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if err := w.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Write of a 5000-sample record made %v allocations, want 0", n)
+	}
+}
+
 func TestWriteRejectsUnencodableTraces(t *testing.T) {
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, sampleHeader())
