@@ -33,6 +33,7 @@ lint:
 fuzz:
 	$(GO) test -fuzz '^FuzzReaderResync$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace
 	$(GO) test -fuzz '^FuzzEdgeExtract$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/edgeset
+	$(GO) test -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/core
 
 # bench-replay compares sequential replay against the concurrent
 # pipeline at 1/2/4/8 workers (plus instrumented variants) on a

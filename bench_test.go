@@ -384,7 +384,7 @@ func BenchmarkTrain(b *testing.B) {
 }
 
 // BenchmarkUpdateLatency measures Algorithm 4 per edge set (the
-// Sherman-Morrison inverse maintenance).
+// rank-one update of each cluster's Cholesky factor).
 func BenchmarkUpdateLatency(b *testing.B) {
 	_, cfg, model, traces := benchFixture(b)
 	var samples []core.Sample

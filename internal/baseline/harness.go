@@ -3,6 +3,7 @@ package baseline
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"vprofile/internal/analog"
 	"vprofile/internal/canbus"
@@ -87,6 +88,7 @@ func Shootout(v *vehicle.Vehicle, classifiers []Classifier, nTrain, nTest int, s
 	for sa := range saMap {
 		allSAs = append(allSAs, sa)
 	}
+	slices.Sort(allSAs) // map order would change the stream between runs
 	for i := range test {
 		forged[i] = test[i].SA
 		if rng.Float64() < 0.20 {

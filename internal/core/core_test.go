@@ -144,8 +144,8 @@ func TestTrainByLUT(t *testing.T) {
 		if len(c.SAs) != 2 {
 			t.Fatalf("cluster %d has SAs %v", c.ID, c.SAs)
 		}
-		if c.InvCov == nil || c.Cov == nil {
-			t.Fatalf("cluster %d missing covariance", c.ID)
+		if c.Cov == nil || c.chol == nil {
+			t.Fatalf("cluster %d missing covariance or factor", c.ID)
 		}
 		if c.MaxDist <= 0 {
 			t.Fatalf("cluster %d MaxDist %v", c.ID, c.MaxDist)
@@ -368,7 +368,11 @@ func TestUpdateFoldsNewSamples(t *testing.T) {
 	}
 }
 
-func TestUpdateKeepsInverseConsistent(t *testing.T) {
+// TestUpdateKeepsFactorConsistent requires the rank-one-updated
+// Cholesky factor to match a fresh factorisation of the updated
+// covariance, and the distances scored over it to match the distances
+// a saved-and-reloaded copy (factored afresh from Cov) scores.
+func TestUpdateKeepsFactorConsistent(t *testing.T) {
 	m, ecus, rng := trainTest(t, Mahalanobis, TrainConfig{TargetClusters: 4})
 	var fresh []Sample
 	for i := 0; i < 100; i++ {
@@ -378,21 +382,36 @@ func TestUpdateKeepsInverseConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := m.ClusterForSA(ecus[1].sas[0])
-	// InvCov maintained by Sherman-Morrison must match a direct
-	// inversion of the updated covariance.
-	direct, err := c.Cov.Inverse()
+	direct, err := linalg.PackCholesky(c.Cov)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var maxDiff float64
+	var maxDiff, scale float64
 	for i := range direct.Data {
-		if d := math.Abs(direct.Data[i] - c.InvCov.Data[i]); d > maxDiff {
-			maxDiff = d
-		}
+		maxDiff = math.Max(maxDiff, math.Abs(direct.Data[i]-c.chol.Data[i]))
+		scale = math.Max(scale, math.Abs(direct.Data[i]))
 	}
-	scale := direct.SymmetricMaxAbs()
-	if maxDiff > 1e-6*scale {
-		t.Fatalf("incremental inverse off by %g (scale %g)", maxDiff, scale)
+	if maxDiff > 1e-9*scale {
+		t.Fatalf("updated factor off by %g (scale %g)", maxDiff, scale)
+	}
+
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 100; trial++ {
+		s := ecus[trial%len(ecus)].sample(rng)
+		for id := range m.Clusters {
+			d1 := m.Distance(m.Clusters[id], s.Set)
+			d2 := loaded.Distance(loaded.Clusters[id], s.Set)
+			if math.Abs(d1-d2) > 1e-9*math.Max(1, d2) {
+				t.Fatalf("trial %d cluster %d: updated model scores %v, reloaded %v", trial, id, d1, d2)
+			}
+		}
 	}
 }
 

@@ -48,31 +48,13 @@ type Detection struct {
 // Algorithm 3. The model's Margin widens each cluster's trained
 // MaxDist threshold.
 func (m *Model) Detect(sa canbus.SourceAddress, set linalg.Vector) Detection {
-	expID, ok := m.SALUT[sa]
-	if !ok {
-		return Detection{Anomaly: true, Reason: ReasonUnknownSA, Expected: -1, Predict: -1}
-	}
-	pred, minDist := m.Nearest(set)
-	if pred != expID {
-		return Detection{Anomaly: true, Reason: ReasonClusterMismatch, Expected: expID, Predict: pred, MinDist: minDist}
-	}
-	if minDist > m.Clusters[expID].MaxDist+m.Margin {
-		return Detection{Anomaly: true, Reason: ReasonOverThreshold, Expected: expID, Predict: pred, MinDist: minDist}
-	}
-	return Detection{Expected: expID, Predict: pred, MinDist: minDist}
+	return m.detect(sa, set, nil)
 }
 
 // Nearest returns the cluster whose distance to the edge set is
 // smallest, together with that distance.
 func (m *Model) Nearest(set linalg.Vector) (ClusterID, float64) {
-	best := ClusterID(-1)
-	minDist := math.Inf(1)
-	for _, c := range m.Clusters {
-		if d := m.Distance(c, set); d < minDist {
-			best, minDist = c.ID, d
-		}
-	}
-	return best, minDist
+	return m.nearest(set, nil)
 }
 
 // ClusterDistance is one cluster's distance to an edge set. The JSON
@@ -101,9 +83,9 @@ type Explanation struct {
 }
 
 // DetectExplain is Detect with its evidence preserved. The Detection
-// it returns is bit-for-bit identical to Detect's — the same
-// distances are computed in the same order with the same arithmetic —
-// so instrumented and uninstrumented runs cannot diverge.
+// it returns is bit-for-bit identical to Detect's — both run the same
+// Algorithm 3 body — so instrumented and uninstrumented runs cannot
+// diverge.
 func (m *Model) DetectExplain(sa canbus.SourceAddress, set linalg.Vector) (Detection, Explanation) {
 	return m.DetectExplainInto(sa, set, nil)
 }
@@ -113,30 +95,49 @@ func (m *Model) DetectExplain(sa canbus.SourceAddress, set linalg.Vector) (Detec
 // per-frame inline storage here, so explaining a verdict allocates
 // nothing on the replay hot path.
 func (m *Model) DetectExplainInto(sa canbus.SourceAddress, set linalg.Vector, buf []ClusterDistance) (Detection, Explanation) {
+	ex := Explanation{Distances: buf, Margin: m.Margin}
+	det := m.detect(sa, set, &ex)
+	return det, ex
+}
+
+// detect is the one body of Algorithm 3 behind Detect and
+// DetectExplainInto; ex, when non-nil, collects the evidence.
+func (m *Model) detect(sa canbus.SourceAddress, set linalg.Vector, ex *Explanation) Detection {
 	expID, ok := m.SALUT[sa]
 	if !ok {
-		return Detection{Anomaly: true, Reason: ReasonUnknownSA, Expected: -1, Predict: -1},
-			Explanation{Margin: m.Margin}
+		if ex != nil {
+			ex.Distances = nil
+		}
+		return Detection{Anomaly: true, Reason: ReasonUnknownSA, Expected: -1, Predict: -1}
 	}
-	if buf == nil {
-		buf = make([]ClusterDistance, 0, len(m.Clusters))
+	pred, minDist := m.nearest(set, ex)
+	threshold := m.Clusters[expID].MaxDist
+	if ex != nil {
+		ex.Threshold = threshold
 	}
-	ex := Explanation{Distances: buf, Margin: m.Margin}
-	pred := ClusterID(-1)
+	if pred != expID {
+		return Detection{Anomaly: true, Reason: ReasonClusterMismatch, Expected: expID, Predict: pred, MinDist: minDist}
+	}
+	if minDist > threshold+m.Margin {
+		return Detection{Anomaly: true, Reason: ReasonOverThreshold, Expected: expID, Predict: pred, MinDist: minDist}
+	}
+	return Detection{Expected: expID, Predict: pred, MinDist: minDist}
+}
+
+// nearest is the model's one loop over its clusters: the first cluster
+// strictly nearest wins, so a NaN distance never does. With ex non-nil
+// it also records every cluster's distance, in cluster order.
+func (m *Model) nearest(set linalg.Vector, ex *Explanation) (ClusterID, float64) {
+	best := ClusterID(-1)
 	minDist := math.Inf(1)
 	for _, c := range m.Clusters {
 		d := m.Distance(c, set)
-		ex.Distances = append(ex.Distances, ClusterDistance{ID: c.ID, Dist: d})
+		if ex != nil {
+			ex.Distances = append(ex.Distances, ClusterDistance{ID: c.ID, Dist: d})
+		}
 		if d < minDist {
-			pred, minDist = c.ID, d
+			best, minDist = c.ID, d
 		}
 	}
-	ex.Threshold = m.Clusters[expID].MaxDist
-	if pred != expID {
-		return Detection{Anomaly: true, Reason: ReasonClusterMismatch, Expected: expID, Predict: pred, MinDist: minDist}, ex
-	}
-	if minDist > m.Clusters[expID].MaxDist+m.Margin {
-		return Detection{Anomaly: true, Reason: ReasonOverThreshold, Expected: expID, Predict: pred, MinDist: minDist}, ex
-	}
-	return Detection{Expected: expID, Predict: pred, MinDist: minDist}, ex
+	return best, minDist
 }

@@ -6,8 +6,9 @@
 //     them, either through a known SA→ECU lookup table (the
 //     "fortunate" case) or by agglomerative distance clustering of
 //     per-SA means; store each cluster's mean, covariance matrix (for
-//     the Mahalanobis metric), inverse covariance and maximum
-//     intra-cluster distance.
+//     the Mahalanobis metric) and maximum intra-cluster distance.
+//     Mahalanobis distances are scored over the covariance's packed
+//     Cholesky factor; the model never forms an inverse.
 //
 //   - Detection (Algorithm 3): map the claimed source address to its
 //     expected cluster, predict the nearest cluster by distance,
@@ -17,9 +18,9 @@
 //
 //   - Online model update (Algorithm 4 / Equation 5.1): fold new edge
 //     sets into a cluster's count, mean, covariance and maximum
-//     distance without retraining, maintaining the inverse covariance
-//     incrementally with a Sherman-Morrison rank-1 update so detection
-//     latency is unaffected.
+//     distance without retraining, keeping the Cholesky factor current
+//     with an O(dim²) rank-one update so detection latency is
+//     unaffected.
 //
 // Both distance metrics of Section 2.2.2 are supported; the paper's
 // headline results use Mahalanobis distance, with Euclidean retained

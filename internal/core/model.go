@@ -50,12 +50,17 @@ type Cluster struct {
 	ID   ClusterID
 	SAs  []canbus.SourceAddress // source addresses this ECU transmits
 	Mean linalg.Vector
-	// Cov and InvCov are populated for the Mahalanobis metric; both
-	// stay nil under Euclidean where Σ is implicitly the identity.
+	// Cov is populated for the Mahalanobis metric; it stays nil under
+	// Euclidean where Σ is implicitly the identity.
 	Cov     *linalg.Matrix
-	InvCov  *linalg.Matrix
 	MaxDist float64 // largest training-sample distance to the mean
 	N       int     // number of edge sets folded into the statistics
+
+	// chol is the packed Cholesky factor of Cov, the only form of Σ⁻¹
+	// the model keeps: Mahalanobis distances are a forward
+	// substitution over it. Train and Load factor Cov; Update keeps
+	// the factor current with a rank-one update. Never serialised.
+	chol *linalg.CholFactor
 }
 
 // Model is a trained vProfile instance: the cluster↔SA lookup table,
@@ -76,11 +81,6 @@ type Model struct {
 	// beyond which online updates have negligible effect and a full
 	// retrain is recommended. Zero disables the recommendation.
 	UpdateBound int
-
-	// chol is the precomputed per-cluster Cholesky scoring state (see
-	// Precompute): derived from the covariances, never serialised, nil
-	// until Precompute runs or after Update invalidates it.
-	chol []*linalg.CholFactor
 }
 
 // Cluster returns the cluster with the given id.
@@ -101,22 +101,16 @@ func (m *Model) ClusterForSA(sa canbus.SourceAddress) (*Cluster, error) {
 }
 
 // Distance returns the distance from an edge set to the cluster under
-// the model's metric. With a precomputed factor (Precompute) the
-// Mahalanobis case runs a triangular solve over the packed Cholesky
-// factor — no inverse multiply, no allocation; without one it falls
-// back to the inverse-covariance form. Train and Load precompute, so
-// every trained or deserialised model takes the fast path, and the
-// threshold (MaxDist) and detection distances always come from the
-// same arithmetic.
+// the model's metric. The Mahalanobis case is a triangular solve over
+// the cluster's packed Cholesky factor — no inverse, no allocation —
+// so the threshold (MaxDist) and detection distances always come from
+// the same arithmetic, before and after Update.
 func (m *Model) Distance(c *Cluster, set linalg.Vector) float64 {
 	if len(set) != m.Dim {
 		panic(ErrDimMismatch)
 	}
 	if m.Metric == Mahalanobis {
-		if f := m.cholFor(c); f != nil {
-			return linalg.MahalanobisChol(set, c.Mean, f)
-		}
-		return linalg.Mahalanobis(set, c.Mean, c.InvCov)
+		return linalg.MahalanobisChol(set, c.Mean, c.chol)
 	}
 	return linalg.Euclidean(set, c.Mean)
 }
@@ -193,7 +187,6 @@ type clusterWire struct {
 	SAs     []uint8
 	Mean    []float64
 	Cov     []float64 // Dim×Dim row-major, empty for Euclidean
-	InvCov  []float64
 	MaxDist float64
 	N       int
 }
@@ -221,9 +214,6 @@ func (m *Model) Save(w io.Writer) error {
 		if c.Cov != nil {
 			cw.Cov = c.Cov.Data
 		}
-		if c.InvCov != nil {
-			cw.InvCov = c.InvCov.Data
-		}
 		wire.Clusters = append(wire.Clusters, cw)
 	}
 	return gob.NewEncoder(w).Encode(wire)
@@ -245,36 +235,65 @@ func Load(r io.Reader) (*Model, error) {
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("core: decoding model: %w", err)
 	}
+	if wire.Metric != Euclidean && wire.Metric != Mahalanobis {
+		return nil, fmt.Errorf("%w: unknown metric %v", ErrModelFormat, wire.Metric)
+	}
+	if wire.Dim < 1 {
+		return nil, fmt.Errorf("%w: dimension %d", ErrModelFormat, wire.Dim)
+	}
+	if len(wire.Clusters) == 0 {
+		return nil, fmt.Errorf("%w: no clusters", ErrModelFormat)
+	}
 	m := &Model{
 		Metric: wire.Metric, Dim: wire.Dim, Margin: wire.Margin,
 		UpdateBound: wire.UpdateBound,
 		SALUT:       make(map[canbus.SourceAddress]ClusterID, len(wire.SALUT)),
 	}
 	for sa, id := range wire.SALUT {
+		if id < 0 || id >= len(wire.Clusters) {
+			return nil, fmt.Errorf("%w: LUT maps SA %#02x to cluster %d of %d", ErrModelFormat, sa, id, len(wire.Clusters))
+		}
 		m.SALUT[canbus.SourceAddress(sa)] = ClusterID(id)
 	}
 	for i, cw := range wire.Clusters {
-		c := &Cluster{ID: ClusterID(i), Mean: cw.Mean, MaxDist: cw.MaxDist, N: cw.N}
-		for _, sa := range cw.SAs {
-			c.SAs = append(c.SAs, canbus.SourceAddress(sa))
-		}
-		if len(cw.Cov) > 0 {
-			c.Cov = &linalg.Matrix{Rows: wire.Dim, Cols: wire.Dim, Data: cw.Cov}
-		}
-		if len(cw.InvCov) > 0 {
-			c.InvCov = &linalg.Matrix{Rows: wire.Dim, Cols: wire.Dim, Data: cw.InvCov}
+		c, err := loadCluster(ClusterID(i), cw, wire.Metric, wire.Dim)
+		if err != nil {
+			return nil, err
 		}
 		m.Clusters = append(m.Clusters, c)
 	}
-	for sa, id := range m.SALUT {
-		if id < 0 || int(id) >= len(m.Clusters) {
-			return nil, fmt.Errorf("core: model LUT maps SA %#02x to cluster %d of %d", uint8(sa), id, len(m.Clusters))
-		}
-	}
-	// The scoring factors are derived state: recompute rather than
-	// serialise them. Covariances round-trip bit-exactly and the
-	// factorisation is deterministic, so a loaded model scores
-	// identically to the model that was saved.
-	m.Precompute()
 	return m, nil
+}
+
+// loadCluster validates one decoded cluster against the model's metric
+// and dimension and factors its covariance. Covariances round-trip
+// bit-exactly and the factorisation is deterministic, so a loaded
+// model scores identically to the trained model that was saved.
+func loadCluster(id ClusterID, cw clusterWire, metric Metric, dim int) (*Cluster, error) {
+	if len(cw.Mean) != dim {
+		return nil, fmt.Errorf("%w: cluster %d mean has %d dims, want %d", ErrModelFormat, id, len(cw.Mean), dim)
+	}
+	if cw.N < 0 {
+		return nil, fmt.Errorf("%w: cluster %d has sample count %d", ErrModelFormat, id, cw.N)
+	}
+	c := &Cluster{ID: id, Mean: cw.Mean, MaxDist: cw.MaxDist, N: cw.N}
+	for _, sa := range cw.SAs {
+		c.SAs = append(c.SAs, canbus.SourceAddress(sa))
+	}
+	if metric == Euclidean {
+		if len(cw.Cov) != 0 {
+			return nil, fmt.Errorf("%w: cluster %d carries a covariance under the Euclidean metric", ErrModelFormat, id)
+		}
+		return c, nil
+	}
+	if len(cw.Cov) != dim*dim {
+		return nil, fmt.Errorf("%w: cluster %d covariance has %d entries, want %d", ErrModelFormat, id, len(cw.Cov), dim*dim)
+	}
+	c.Cov = &linalg.Matrix{Rows: dim, Cols: dim, Data: cw.Cov}
+	f, err := linalg.PackCholesky(c.Cov)
+	if err != nil {
+		return nil, fmt.Errorf("%w: cluster %d: %v", ErrSingularCov, id, err)
+	}
+	c.chol = f
+	return c, nil
 }

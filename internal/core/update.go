@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"vprofile/internal/linalg"
 )
@@ -19,22 +20,19 @@ type UpdateResult struct {
 // Update implements Algorithm 4 (the Section 5.3 online model update):
 // new edge sets are grouped through the cluster-SA lookup table, and
 // each cluster's edge-set count, mean, covariance (Equation 5.1),
-// inverse covariance and maximum distance are updated per sample.
+// Cholesky factor and maximum distance are updated per sample.
 //
-// The inverse covariance is maintained with a Sherman-Morrison rank-1
-// update rather than re-inversion, keeping the per-sample cost at
-// O(dim²). Samples with unknown SAs are skipped and counted — the
-// caller should only feed messages the detector accepted.
+// The factor follows the covariance by an O(dim²) rank-one update
+// rather than a refactorisation, and the MaxDist maintenance and any
+// later detection both score over it. Samples with unknown SAs are
+// skipped and counted — the caller should only feed messages the
+// detector accepted.
 //
-// Update invalidates the precomputed Cholesky scoring state (it
-// mutates the covariances the factors were derived from), so distances
-// fall back to the maintained inverse covariance — consistently for
-// both the per-sample MaxDist maintenance below and any detection that
-// follows. Call Precompute before serving the updated model on the hot
-// path (engine.ModelStore.Swap does this when the model is published).
+// Save writes the updated covariance, and Load factors it afresh, so
+// an updated model that is saved and loaded again scores like the
+// in-memory one to round-off, not bit-for-bit.
 func (m *Model) Update(samples []Sample) (UpdateResult, error) {
 	var res UpdateResult
-	m.chol = nil
 	for _, s := range samples {
 		if len(s.Set) != m.Dim {
 			return res, fmt.Errorf("%w: got %d dims, want %d", ErrDimMismatch, len(s.Set), m.Dim)
@@ -44,9 +42,7 @@ func (m *Model) Update(samples []Sample) (UpdateResult, error) {
 			res.Skipped++
 			continue
 		}
-		if err := m.Clusters[id].push(m, s.Set); err != nil {
-			return res, fmt.Errorf("core: updating cluster %d: %w", id, err)
-		}
+		m.Clusters[id].push(m, s.Set)
 		res.Applied++
 	}
 	if m.UpdateBound > 0 {
@@ -60,7 +56,7 @@ func (m *Model) Update(samples []Sample) (UpdateResult, error) {
 }
 
 // push folds one edge set into the cluster statistics.
-func (c *Cluster) push(m *Model, set linalg.Vector) error {
+func (c *Cluster) push(m *Model, set linalg.Vector) {
 	nPrev := float64(c.N)
 	c.N++
 	n := float64(c.N)
@@ -71,41 +67,32 @@ func (c *Cluster) push(m *Model, set linalg.Vector) error {
 		c.Mean[i] += d[i] / n
 	}
 
-	if m.Metric == Mahalanobis && c.Cov != nil {
+	if m.Metric == Mahalanobis {
+		if nPrev == 0 {
+			// First sample of a cluster loaded empty: there is no
+			// spread to fold in yet, so the covariance stays as is.
+			return
+		}
 		// Equation 5.1 in N-normalised form:
 		//   Σ_n = (N_{n−1}/N_n)·Σ_{n−1} + ((n−1)/n²)·d·dᵀ
 		// which is a scale plus a symmetric rank-1 update, so the
-		// inverse follows by Sherman-Morrison.
+		// factor follows with x = √β·d.
 		alpha := nPrev / n
 		beta := nPrev / (n * n)
-		if nPrev == 0 {
-			// First sample of a cluster trained empty: covariance
-			// stays zero; nothing to invert.
-			return nil
-		}
 		dim := m.Dim
 		for i := 0; i < dim; i++ {
 			for j := 0; j < dim; j++ {
 				c.Cov.Data[i*dim+j] = alpha*c.Cov.Data[i*dim+j] + beta*d[i]*d[j]
 			}
 		}
-		if c.InvCov != nil {
-			// inv(α·Σ) = invΣ/α, then rank-1 correct with u = β·d, v = d.
-			c.InvCov.ScaleInPlace(1 / alpha)
-			if err := linalg.ShermanMorrisonUpdate(c.InvCov, d.Scale(beta), d); err != nil {
-				// Fall back to a full inversion; the covariance itself
-				// may still be well conditioned.
-				inv, ierr := c.Cov.Inverse()
-				if ierr != nil {
-					return ErrSingularCov
-				}
-				c.InvCov = inv
-			}
+		sb := math.Sqrt(beta)
+		for i := range d {
+			d[i] *= sb
 		}
+		c.chol.RankOneUpdate(alpha, d)
 	}
 
 	if dist := m.Distance(c, set); dist > c.MaxDist {
 		c.MaxDist = dist
 	}
-	return nil
 }

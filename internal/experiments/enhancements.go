@@ -151,13 +151,13 @@ func perECUStats(byECU [][]linalg.Vector) ([]ECUStats, error) {
 			sdSum += stats.StdDev(col)
 		}
 		cov := linalg.Covariance(sets)
-		inv, err := cov.Inverse()
+		f, err := linalg.PackCholesky(cov)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ECU %d covariance: %w", ecu, err)
 		}
 		var maxDist float64
 		for _, s := range sets {
-			if d := linalg.Mahalanobis(s, mean, inv); d > maxDist {
+			if d := linalg.MahalanobisChol(s, mean, f); d > maxDist {
 				maxDist = d
 			}
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"vprofile/internal/canbus"
 	"vprofile/internal/core"
@@ -53,13 +54,13 @@ func FalsePositiveRecords(m *core.Model, test []LabeledSample) []MarginRecord {
 // the software simulation of every ECU imitating every other
 // (Section 4.1).
 func HijackRecords(m *core.Model, test []LabeledSample, rng *rand.Rand) []MarginRecord {
-	// SA pool grouped by cluster for forging.
-	saByCluster := make(map[core.ClusterID][]canbus.SourceAddress)
-	var allSAs []canbus.SourceAddress
-	for sa, id := range m.SALUT {
-		saByCluster[id] = append(saByCluster[id], sa)
+	// The forging pool is sorted: map order would make the stream
+	// differ between runs with the same seed.
+	allSAs := make([]canbus.SourceAddress, 0, len(m.SALUT))
+	for sa := range m.SALUT {
 		allSAs = append(allSAs, sa)
 	}
+	slices.Sort(allSAs)
 	out := make([]MarginRecord, 0, len(test))
 	for _, s := range test {
 		sample := s.Sample

@@ -73,3 +73,38 @@ func MahalanobisSqChol(x, mean Vector, f *CholFactor) float64 {
 func MahalanobisChol(x, mean Vector, f *CholFactor) float64 {
 	return math.Sqrt(MahalanobisSqChol(x, mean, f))
 }
+
+// RankOneUpdate replaces the factored matrix Σ = L·Lᵀ by α·Σ + x·xᵀ in
+// place, in O(N²): L is scaled by √α, then one sweep of plane
+// rotations folds x into it column by column (the classic Cholesky
+// rank-one update). α must be positive. Adding the positive
+// semi-definite x·xᵀ to the positive-definite α·Σ keeps it positive
+// definite, so the update cannot fail. x is not modified.
+func (f *CholFactor) RankOneUpdate(alpha float64, x Vector) {
+	n := f.N
+	mustSameLen(len(x), n)
+	var stack [cholStackDim]float64
+	w := stack[:]
+	if n > cholStackDim {
+		w = make([]float64, n)
+	}
+	copy(w, x)
+	sqrtAlpha := math.Sqrt(alpha)
+	for i := range f.Data {
+		f.Data[i] *= sqrtAlpha
+	}
+	for k := 0; k < n; k++ {
+		kk := k*(k+1)/2 + k // L[k][k]
+		lkk := f.Data[kk]
+		r := math.Hypot(lkk, w[k])
+		c, s := r/lkk, w[k]/lkk
+		f.Data[kk] = r
+		ik := kk + k + 1 // L[i][k] for i = k+1; row i+1 starts i+1 entries later
+		for i := k + 1; i < n; i++ {
+			lik := (f.Data[ik] + s*w[i]) / c
+			f.Data[ik] = lik
+			w[i] = c*w[i] - s*lik
+			ik += i + 1
+		}
+	}
+}

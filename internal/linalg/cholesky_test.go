@@ -3,6 +3,7 @@ package linalg
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -82,5 +83,62 @@ func TestPackCholeskySingular(t *testing.T) {
 	sing := NewMatrix(3, 3) // all-zero: not positive definite
 	if _, err := PackCholesky(sing); err != ErrSingular {
 		t.Fatalf("err = %v, want ErrSingular", err)
+	}
+}
+
+// TestRankOneUpdateMatchesRefactor drives the factor through the
+// online-update recurrence of Equation 5.1 — Σ ← α·Σ + x·xᵀ with
+// α = (n−1)/n and x = √((n−1)/n²)·(s − mean) — and requires it to match
+// a fresh factorisation of the explicitly updated matrix after every
+// checkpoint. Round-off must not accumulate over thousands of updates,
+// including past the stack scratch size (d = 80).
+func TestRankOneUpdateMatchesRefactor(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{1, 3, 32, 64, 80} {
+		cov := randomSPD(rng, n)
+		fac, err := PackCholesky(cov)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		mean := make(Vector, n)
+		x := make(Vector, n)
+		count := 50
+		for step := 1; step <= 2000; step++ {
+			count++
+			nPrev, nNow := float64(count-1), float64(count)
+			alpha, beta := nPrev/nNow, nPrev/(nNow*nNow)
+			for i := range x {
+				x[i] = 3*rng.NormFloat64() - mean[i]
+				mean[i] += x[i] / nNow
+			}
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					cov.Data[i*n+j] = alpha*cov.Data[i*n+j] + beta*x[i]*x[j]
+				}
+			}
+			for i := range x {
+				x[i] *= math.Sqrt(beta)
+			}
+			before := x.Clone()
+			fac.RankOneUpdate(alpha, x)
+			if !slices.Equal(x, before) {
+				t.Fatalf("n=%d step %d: RankOneUpdate modified x", n, step)
+			}
+			if step%500 != 0 {
+				continue
+			}
+			want, err := PackCholesky(cov)
+			if err != nil {
+				t.Fatalf("n=%d step %d: refactor: %v", n, step, err)
+			}
+			var diff, scale float64
+			for i := range want.Data {
+				diff = math.Max(diff, math.Abs(fac.Data[i]-want.Data[i]))
+				scale = math.Max(scale, math.Abs(want.Data[i]))
+			}
+			if diff > 1e-9*scale {
+				t.Fatalf("n=%d step %d: updated factor off by %g (scale %g)", n, step, diff, scale)
+			}
+		}
 	}
 }

@@ -1,9 +1,11 @@
 // Package linalg provides the dense linear algebra vProfile needs:
 // vectors, symmetric matrices, sample covariance (batch and online
 // Welford form), matrix inversion via Cholesky factorisation with a
-// Gauss-Jordan fallback, a Sherman-Morrison rank-1 inverse update for
-// the online model-update algorithm, and the Euclidean and Mahalanobis
-// distance metrics of Section 2.2.2.
+// Gauss-Jordan fallback, a packed Cholesky factor with an O(n²)
+// rank-one update for the online model-update algorithm, and the
+// Euclidean and Mahalanobis distance metrics of Section 2.2.2 (the
+// latter either over an explicit inverse or, without forming one, by
+// forward substitution over the packed factor).
 //
 // Singular covariance matrices are reported with ErrSingular; the
 // paper encounters them when quantisation below 12 bits collapses the
