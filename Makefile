@@ -35,32 +35,31 @@ fuzz:
 	$(GO) test -fuzz '^FuzzEdgeExtract$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/edgeset
 	$(GO) test -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/core
 
-# bench-replay compares sequential replay against the concurrent
-# pipeline at 1/2/4/8 workers (plus instrumented variants) on a
-# 10k-record capture.
+# bench-replay runs every configuration of the replay benchmark's
+# layer table (cmd/replaybench) as a Go sub-benchmark on a 10k-record
+# capture.
 bench-replay:
-	$(GO) test -bench Replay -benchmem -run '^$$' .
+	$(GO) test -bench Replay -benchmem -run '^$$' ./cmd/replaybench
 
-# bench writes the replay benchmark sweep — sequential vs 1/2/4/8
-# workers, metrics-off vs metrics-on, plus tracing+flight-recorder and
-# fault-layer (recovery reader + quarantine) configurations, including
-# the measured metrics, flight and fault-layer overheads — to
+# bench writes the replay benchmark sweep — every row of the layer
+# table in cmd/replaybench (sequential and 1/2/4/8 workers, each layer
+# stacked on its paired base) plus each layer's overhead_pct — to
 # BENCH_pipeline.json, the repository's performance trajectory file.
 bench:
 	$(GO) run ./cmd/replaybench -out BENCH_pipeline.json
 
-# bench-gate regenerates the sweep into a scratch file and fails when
+# bench-gate regenerates the sweep into a scratch file at the host's
+# core count (replaybench refuses a single-core host) and fails when
 # median replay throughput dropped more than 10% against the committed
-# baseline, the best plain parallel speedup fell under 1.5x (skipped
-# automatically on single-core hosts), median allocs-per-frame grew
-# more than 25%, or the fleet-sharing / incident-correlation /
-# drift-monitor / socket-ingestion layers cost more than 5% — the
-# benchmark-regression gate CI runs on every PR.
+# baseline, the best plain parallel speedup fell under 1.5x, median
+# allocs-per-frame grew more than 25%, or a layer named in
+# -max-overhead cost more than its budget — the benchmark-regression
+# gate CI runs on every PR.
 bench-gate:
-	$(GO) run ./cmd/replaybench -out /tmp/bench-candidate.json -repeat 7 -gomaxprocs 4
+	$(GO) run ./cmd/replaybench -out /tmp/bench-candidate.json -repeat 7
 	$(GO) run ./cmd/benchgate -baseline BENCH_pipeline.json -candidate /tmp/bench-candidate.json \
-		-max-drop 10 -max-fleet-overhead 5 -max-incident-overhead 5 -max-drift-overhead 5 \
-		-max-socket-overhead 5 -min-parallel-speedup 1.5 -max-allocs-growth 25
+		-max-drop 10 -max-overhead fleet=5,incident=5,drift=5,socket=5 \
+		-min-parallel-speedup 1.5 -max-allocs-growth 25
 
 bench-go:
 	$(GO) test -bench . -benchmem -run '^$$' ./...

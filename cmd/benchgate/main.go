@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	benchgate -baseline BENCH_pipeline.json -candidate /tmp/bench.json [-max-drop 10]
+//	benchgate -baseline BENCH_pipeline.json -candidate /tmp/bench.json [-max-drop 10] [-max-overhead fleet=5,drift=5]
 //	benchgate detect -baseline DETECT_arena.json -candidate /tmp/arena.json [-max-tpr-drop 2] [-max-fpr-rise 1]
 //
 // For every configuration present in both reports it computes the
@@ -27,34 +27,27 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // report mirrors the subset of the replaybench schema the gate needs;
-// unknown fields (overhead percentages, metadata) pass through
-// untouched, so the two tools can evolve independently.
-// FleetOverheadPct is read only from the candidate: it gates the cost
-// of sharing one worker pool across a fleet against an absolute
-// budget rather than against the baseline, so an older baseline
-// without fleet runs still gates cleanly.
+// unknown fields pass through untouched, so the two tools can evolve
+// independently. OverheadPct is read only from the candidate: each
+// layer's overhead is gated against an absolute budget rather than
+// against the baseline.
 type report struct {
-	Records             int      `json:"records"`
-	NumCPU              int      `json:"num_cpu"`
-	FleetOverheadPct    *float64 `json:"fleet_overhead_pct"`
-	IncidentOverheadPct *float64 `json:"incident_overhead_pct"`
-	DriftOverheadPct    *float64 `json:"drift_overhead_pct"`
-	SocketOverheadPct   *float64 `json:"socket_overhead_pct"`
-	Runs                []run    `json:"runs"`
+	Records     int                `json:"records"`
+	Batch       int                `json:"batch"`
+	NumCPU      int                `json:"num_cpu"`
+	OverheadPct map[string]float64 `json:"overhead_pct"`
+	Runs        []run              `json:"runs"`
 }
 
 type run struct {
 	Name           string  `json:"name"`
+	Layer          string  `json:"layer"`
 	Workers        int     `json:"workers"`
-	Metrics        bool    `json:"metrics"`
-	Flight         bool    `json:"flight"`
-	Faults         bool    `json:"faults"`
-	Drift          bool    `json:"drift"`
-	DriftBase      bool    `json:"drift_base"`
-	Socket         bool    `json:"socket"`
 	Buses          int     `json:"buses"`
 	FramesPerSec   float64 `json:"frames_per_sec"`
 	Speedup        float64 `json:"speedup_vs_sequential"`
@@ -69,10 +62,11 @@ func main() {
 	baseline := flag.String("baseline", "BENCH_pipeline.json", "committed baseline report")
 	candidate := flag.String("candidate", "", "freshly generated report to gate")
 	maxDrop := flag.Float64("max-drop", 10, "maximum tolerated median throughput drop in percent")
-	maxFleet := flag.Float64("max-fleet-overhead", 5, "maximum tolerated shared-pool fleet overhead in percent (negative disables)")
-	maxIncident := flag.Float64("max-incident-overhead", 5, "maximum tolerated incident-correlation overhead in percent (negative disables; skipped when the candidate predates the field)")
-	maxDrift := flag.Float64("max-drift-overhead", 5, "maximum tolerated drift-monitor overhead in percent (negative disables; skipped when the candidate predates the field)")
-	maxSocket := flag.Float64("max-socket-overhead", 5, "maximum tolerated socket-ingestion overhead in percent (negative disables; skipped when the candidate predates the field)")
+	var maxOverhead map[string]float64
+	flag.Func("max-overhead", "comma-separated layer=pct budgets (e.g. fleet=5,drift=5); every named layer must appear in the candidate's overhead_pct", func(s string) (err error) {
+		maxOverhead, err = parseBudgets(s)
+		return err
+	})
 	minSpeedup := flag.Float64("min-parallel-speedup", 0, "minimum speedup-vs-sequential the best plain parallel run must reach (0 disables; skipped with a notice when the candidate ran on < 2 CPUs)")
 	maxAllocs := flag.Float64("max-allocs-growth", -1, "maximum tolerated median allocs-per-frame growth in percent (negative disables; skipped when the baseline predates the field)")
 	flag.Parse()
@@ -80,10 +74,25 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchgate: -candidate is required")
 		os.Exit(2)
 	}
-	if err := gate(*baseline, *candidate, *maxDrop, *maxFleet, *maxIncident, *maxDrift, *maxSocket, *minSpeedup, *maxAllocs); err != nil {
+	if err := gate(*baseline, *candidate, *maxDrop, maxOverhead, *minSpeedup, *maxAllocs); err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(1)
 	}
+}
+
+// parseBudgets parses the -max-overhead value: layer=pct pairs,
+// comma-separated, each pct a non-negative number.
+func parseBudgets(s string) (map[string]float64, error) {
+	budgets := make(map[string]float64)
+	for _, pair := range strings.Split(s, ",") {
+		name, val, ok := strings.Cut(pair, "=")
+		pct, err := strconv.ParseFloat(val, 64)
+		if !ok || name == "" || err != nil || !(pct >= 0) {
+			return nil, fmt.Errorf("malformed budget %q: want layer=pct with pct >= 0", pair)
+		}
+		budgets[name] = pct
+	}
+	return budgets, nil
 }
 
 func load(path string) (report, error) {
@@ -101,7 +110,7 @@ func load(path string) (report, error) {
 	return r, nil
 }
 
-func gate(basePath, candPath string, maxDrop, maxFleet, maxIncident, maxDrift, maxSocket, minSpeedup, maxAllocs float64) error {
+func gate(basePath, candPath string, maxDrop float64, maxOverhead map[string]float64, minSpeedup, maxAllocs float64) error {
 	base, err := load(basePath)
 	if err != nil {
 		return err
@@ -109,6 +118,14 @@ func gate(basePath, candPath string, maxDrop, maxFleet, maxIncident, maxDrift, m
 	cand, err := load(candPath)
 	if err != nil {
 		return err
+	}
+	// Throughput and allocations are compared per run name, which only
+	// means something when both sides replayed the same workload.
+	if base.Records != cand.Records {
+		return fmt.Errorf("records differ (baseline %d, candidate %d): refusing to gate unlike workloads", base.Records, cand.Records)
+	}
+	if base.Batch != cand.Batch {
+		return fmt.Errorf("batch differs (baseline %d, candidate %d): refusing to gate unlike workloads", base.Batch, cand.Batch)
 	}
 
 	baseBy := make(map[string]float64, len(base.Runs))
@@ -150,61 +167,36 @@ func gate(basePath, candPath string, maxDrop, maxFleet, maxIncident, maxDrift, m
 		return fmt.Errorf("median throughput dropped %.2f%% vs %s (limit %.0f%%)", median, basePath, maxDrop)
 	}
 
-	// The fleet-overhead gate is absolute: replaybench already
-	// measured shared-pool fleet replays against independent replays
-	// with the same total worker count inside one run, so host speed
-	// cancels out and no baseline comparison is needed. Reports
-	// predating fleet mode simply omit the field.
-	if maxFleet >= 0 && cand.FleetOverheadPct != nil {
-		fmt.Printf("benchgate: fleet shared-pool overhead %.2f%%, limit %.0f%%\n", *cand.FleetOverheadPct, maxFleet)
-		if *cand.FleetOverheadPct > maxFleet {
-			return fmt.Errorf("fleet shared-pool overhead %.2f%% exceeds %.0f%%", *cand.FleetOverheadPct, maxFleet)
+	// The overhead gates are absolute: replaybench paired each layer's
+	// runs with their base runs inside one sweep, so host speed cancels
+	// and no baseline comparison is needed. A budgeted layer missing
+	// from the candidate is an error, not a skip, so a renamed or
+	// dropped table row cannot silently disarm its gate.
+	layers := make([]string, 0, len(maxOverhead))
+	for l := range maxOverhead {
+		layers = append(layers, l)
+	}
+	sort.Strings(layers)
+	var over []string
+	for _, l := range layers {
+		pct, ok := cand.OverheadPct[l]
+		if !ok {
+			return fmt.Errorf("layer %q has a -max-overhead budget but no overhead_pct in %s", l, candPath)
+		}
+		fmt.Printf("benchgate: %s overhead %.2f%%, limit %.0f%%\n", l, pct, maxOverhead[l])
+		if pct > maxOverhead[l] {
+			over = append(over, fmt.Sprintf("%s %.2f%% > %.0f%%", l, pct, maxOverhead[l]))
 		}
 	}
-
-	// The incident-overhead gate is absolute for the same reason:
-	// replaybench paired each incident-fed fleet replay with the same
-	// fleet shape running a no-op sink inside one run, so the figure
-	// already isolates the correlator's hot-path cost. Candidates
-	// predating the incident layer omit the field and skip the gate.
-	if maxIncident >= 0 && cand.IncidentOverheadPct != nil {
-		fmt.Printf("benchgate: incident-correlation overhead %.2f%%, limit %.0f%%\n", *cand.IncidentOverheadPct, maxIncident)
-		if *cand.IncidentOverheadPct > maxIncident {
-			return fmt.Errorf("incident-correlation overhead %.2f%% exceeds %.0f%%", *cand.IncidentOverheadPct, maxIncident)
-		}
-	}
-
-	// The drift-overhead gate is absolute too: replaybench paired each
-	// drift-fed replay with the same worker count running a no-op sink
-	// inside one run, so the figure already isolates the per-SA sketch
-	// and detector cost. Candidates predating the drift layer omit the
-	// field and skip the gate.
-	if maxDrift >= 0 && cand.DriftOverheadPct != nil {
-		fmt.Printf("benchgate: drift-monitor overhead %.2f%%, limit %.0f%%\n", *cand.DriftOverheadPct, maxDrift)
-		if *cand.DriftOverheadPct > maxDrift {
-			return fmt.Errorf("drift-monitor overhead %.2f%% exceeds %.0f%%", *cand.DriftOverheadPct, maxDrift)
-		}
-	}
-
-	// The socket-overhead gate is absolute like the others: replaybench
-	// paired each socket-source replay with the same worker count
-	// reading the capture from memory inside one run, so the figure
-	// already isolates ingestion cost (syscalls + the writer
-	// goroutine). Candidates predating daemon mode omit the field and
-	// skip the gate.
-	if maxSocket >= 0 && cand.SocketOverheadPct != nil {
-		fmt.Printf("benchgate: socket-ingestion overhead %.2f%%, limit %.0f%%\n", *cand.SocketOverheadPct, maxSocket)
-		if *cand.SocketOverheadPct > maxSocket {
-			return fmt.Errorf("socket-ingestion overhead %.2f%% exceeds %.0f%%", *cand.SocketOverheadPct, maxSocket)
-		}
+	if len(over) > 0 {
+		return fmt.Errorf("layer overhead over budget: %s", strings.Join(over, ", "))
 	}
 
 	// The parallel-speedup gate is the guard against the flat-speedup
 	// failure mode this repo once shipped: a report where every
 	// parallel configuration ran at the same throughput as sequential
 	// because the harness never raised GOMAXPROCS. It takes the BEST
-	// speedup among plain parallel runs (no instrumentation, single
-	// bus) — the gate asks "can the pipeline scale at all", not "does
+	// speedup among plain parallel runs (no layer, single bus) — the gate asks "can the pipeline scale at all", not "does
 	// every worker count scale". On a single-core runner a parallel
 	// speedup expectation is physically meaningless, so the gate skips
 	// loudly rather than fail a PR for the hardware it landed on.
@@ -214,7 +206,7 @@ func gate(basePath, candPath string, maxDrop, maxFleet, maxIncident, maxDrift, m
 		} else {
 			bestSpeedup, bestName := 0.0, ""
 			for _, r := range cand.Runs {
-				if r.Workers > 1 && !r.Metrics && !r.Flight && !r.Faults && !r.Drift && !r.DriftBase && !r.Socket && r.Buses <= 1 && r.Speedup > bestSpeedup {
+				if r.Workers > 1 && r.Layer == "" && r.Buses <= 1 && r.Speedup > bestSpeedup {
 					bestSpeedup, bestName = r.Speedup, r.Name
 				}
 			}

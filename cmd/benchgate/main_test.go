@@ -1,8 +1,11 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -30,7 +33,7 @@ func TestGatePassesWithinLimit(t *testing.T) {
 	  {"name": "parallel4",  "frames_per_sec": 1900},
 	  {"name": "parallel8",  "frames_per_sec": 2375}
 	]}`)
-	if err := gate(base, cand, 10, 5, 5, -1, -1, 0, -1); err != nil {
+	if err := gate(base, cand, 10, nil, 0, -1); err != nil {
 		t.Fatalf("gate tripped on a 5%% drop: %v", err)
 	}
 }
@@ -43,7 +46,7 @@ func TestGateFailsOnSystemicDrop(t *testing.T) {
 	  {"name": "parallel4",  "frames_per_sec": 1600},
 	  {"name": "parallel8",  "frames_per_sec": 2000}
 	]}`)
-	if err := gate(base, cand, 10, 5, 5, -1, -1, 0, -1); err == nil {
+	if err := gate(base, cand, 10, nil, 0, -1); err == nil {
 		t.Fatal("gate accepted a 20% systemic drop")
 	}
 }
@@ -57,7 +60,7 @@ func TestGateToleratesOneOutlier(t *testing.T) {
 	  {"name": "parallel4",  "frames_per_sec": 1980},
 	  {"name": "parallel8",  "frames_per_sec": 2450}
 	]}`)
-	if err := gate(base, cand, 10, 5, 5, -1, -1, 0, -1); err != nil {
+	if err := gate(base, cand, 10, nil, 0, -1); err != nil {
 		t.Fatalf("gate tripped on a single outlier: %v", err)
 	}
 }
@@ -70,7 +73,7 @@ func TestGateFasterCandidatePasses(t *testing.T) {
 	  {"name": "parallel4",  "frames_per_sec": 2400},
 	  {"name": "parallel8",  "frames_per_sec": 3000}
 	]}`)
-	if err := gate(base, cand, 10, 5, 5, -1, -1, 0, -1); err != nil {
+	if err := gate(base, cand, 10, nil, 0, -1); err != nil {
 		t.Fatalf("gate tripped on an improvement: %v", err)
 	}
 }
@@ -81,172 +84,79 @@ func TestGateRejectsDisjointReports(t *testing.T) {
 	cand := writeReport(t, dir, "cand.json", `{"records": 100, "runs": [
 	  {"name": "renamed", "frames_per_sec": 1000}
 	]}`)
-	if err := gate(base, cand, 10, 5, 5, -1, -1, 0, -1); err == nil {
+	if err := gate(base, cand, 10, nil, 0, -1); err == nil {
 		t.Fatal("gate accepted reports with no shared configuration")
 	}
 }
 
-func TestGateFleetOverheadWithinBudget(t *testing.T) {
+// TestGateOverhead: every budgeted layer is gated on the candidate's
+// overhead_pct — within budget passes, over budget fails, a layer
+// named in -max-overhead but absent from the candidate is an error,
+// and a layer without a budget is not gated.
+func TestGateOverhead(t *testing.T) {
 	dir := t.TempDir()
 	base := writeReport(t, dir, "base.json", baseReport)
-	cand := writeReport(t, dir, "cand.json", `{"records": 100, "fleet_overhead_pct": 3.2, "runs": [
-	  {"name": "sequential", "frames_per_sec": 1000},
-	  {"name": "parallel4",  "frames_per_sec": 2000},
-	  {"name": "parallel8",  "frames_per_sec": 2500}
-	]}`)
-	if err := gate(base, cand, 10, 5, 5, -1, -1, 0, -1); err != nil {
-		t.Fatalf("gate tripped on 3.2%% fleet overhead under a 5%% budget: %v", err)
+	for _, layer := range []string{"fleet", "incident", "drift", "socket"} {
+		for _, tc := range []struct {
+			name     string
+			overhead string
+			budgets  map[string]float64
+			pass     bool
+		}{
+			{"within", fmt.Sprintf(`{%q: 3.2}`, layer), map[string]float64{layer: 5}, true},
+			{"over", fmt.Sprintf(`{%q: 9.7}`, layer), map[string]float64{layer: 5}, false},
+			{"absent", `{"metrics": 1.0}`, map[string]float64{layer: 5}, false},
+			{"unbudgeted", fmt.Sprintf(`{%q: 9.7}`, layer), nil, true},
+		} {
+			t.Run(layer+"/"+tc.name, func(t *testing.T) {
+				cand := writeReport(t, t.TempDir(), "cand.json", `{"records": 100, "overhead_pct": `+tc.overhead+`, "runs": [
+				  {"name": "sequential", "frames_per_sec": 1000},
+				  {"name": "parallel4",  "frames_per_sec": 2000},
+				  {"name": "parallel8",  "frames_per_sec": 2500}
+				]}`)
+				err := gate(base, cand, 10, tc.budgets, 0, -1)
+				if (err == nil) != tc.pass {
+					t.Fatalf("overhead %s, budgets %v: err = %v, want pass=%v", tc.overhead, tc.budgets, err, tc.pass)
+				}
+				if err != nil && !strings.Contains(err.Error(), layer) {
+					t.Fatalf("error does not name layer %s: %v", layer, err)
+				}
+			})
+		}
 	}
 }
 
-func TestGateFleetOverheadOverBudget(t *testing.T) {
-	dir := t.TempDir()
-	base := writeReport(t, dir, "base.json", baseReport)
-	cand := writeReport(t, dir, "cand.json", `{"records": 100, "fleet_overhead_pct": 9.7, "runs": [
-	  {"name": "sequential", "frames_per_sec": 1000},
-	  {"name": "parallel4",  "frames_per_sec": 2000},
-	  {"name": "parallel8",  "frames_per_sec": 2500}
-	]}`)
-	if err := gate(base, cand, 10, 5, 5, -1, -1, 0, -1); err == nil {
-		t.Fatal("gate accepted 9.7% fleet overhead against a 5% budget")
+func TestParseBudgets(t *testing.T) {
+	got, err := parseBudgets("fleet=5,incident=5,drift=2.5,socket=0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Negative budget disables the fleet gate entirely.
-	if err := gate(base, cand, 10, -1, -1, -1, -1, 0, -1); err != nil {
-		t.Fatalf("disabled fleet gate still tripped: %v", err)
+	want := map[string]float64{"fleet": 5, "incident": 5, "drift": 2.5, "socket": 0}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("parseBudgets = %v, want %v", got, want)
 	}
-}
-
-func TestGateFleetOverheadAbsentInCandidate(t *testing.T) {
-	dir := t.TempDir()
-	base := writeReport(t, dir, "base.json", baseReport)
-	// A candidate from before fleet mode (or with fleet configs
-	// filtered out) must not trip the fleet gate.
-	cand := writeReport(t, dir, "cand.json", baseReport)
-	if err := gate(base, cand, 10, 5, 5, -1, -1, 0, -1); err != nil {
-		t.Fatalf("gate tripped on a report without fleet data: %v", err)
+	for _, bad := range []string{"", "drift", "drift=x", "=5", "drift=-1", "drift=NaN", "fleet=5,"} {
+		if b, err := parseBudgets(bad); err == nil {
+			t.Errorf("parseBudgets(%q) = %v, want an error", bad, b)
+		}
 	}
 }
 
-func TestGateIncidentOverheadWithinBudget(t *testing.T) {
+// TestGateRefusesUnlikeWorkloads: run names match across record counts
+// and batch sizes, but their throughputs do not compare — the gate
+// must refuse and say which field differs.
+func TestGateRefusesUnlikeWorkloads(t *testing.T) {
 	dir := t.TempDir()
 	base := writeReport(t, dir, "base.json", baseReport)
-	cand := writeReport(t, dir, "cand.json", `{"records": 100, "incident_overhead_pct": 2.1, "runs": [
-	  {"name": "sequential", "frames_per_sec": 1000},
-	  {"name": "parallel4",  "frames_per_sec": 2000},
-	  {"name": "parallel8",  "frames_per_sec": 2500}
-	]}`)
-	if err := gate(base, cand, 10, 5, 5, -1, -1, 0, -1); err != nil {
-		t.Fatalf("gate tripped on 2.1%% incident overhead under a 5%% budget: %v", err)
-	}
-}
-
-func TestGateIncidentOverheadOverBudget(t *testing.T) {
-	dir := t.TempDir()
-	base := writeReport(t, dir, "base.json", baseReport)
-	cand := writeReport(t, dir, "cand.json", `{"records": 100, "incident_overhead_pct": 8.4, "runs": [
-	  {"name": "sequential", "frames_per_sec": 1000},
-	  {"name": "parallel4",  "frames_per_sec": 2000},
-	  {"name": "parallel8",  "frames_per_sec": 2500}
-	]}`)
-	if err := gate(base, cand, 10, 5, 5, -1, -1, 0, -1); err == nil {
-		t.Fatal("gate accepted 8.4% incident overhead against a 5% budget")
-	}
-	// Negative budget disables the incident gate entirely.
-	if err := gate(base, cand, 10, 5, -1, -1, -1, 0, -1); err != nil {
-		t.Fatalf("disabled incident gate still tripped: %v", err)
-	}
-}
-
-func TestGateIncidentOverheadAbsentInCandidate(t *testing.T) {
-	dir := t.TempDir()
-	base := writeReport(t, dir, "base.json", baseReport)
-	// A candidate from before the incident layer must not trip the
-	// incident gate.
-	cand := writeReport(t, dir, "cand.json", baseReport)
-	if err := gate(base, cand, 10, 5, 5, -1, -1, 0, -1); err != nil {
-		t.Fatalf("gate tripped on a report without incident data: %v", err)
-	}
-}
-
-func TestGateDriftOverheadWithinBudget(t *testing.T) {
-	dir := t.TempDir()
-	base := writeReport(t, dir, "base.json", baseReport)
-	cand := writeReport(t, dir, "cand.json", `{"records": 100, "drift_overhead_pct": 1.8, "runs": [
-	  {"name": "sequential", "frames_per_sec": 1000},
-	  {"name": "parallel4",  "frames_per_sec": 2000},
-	  {"name": "parallel8",  "frames_per_sec": 2500}
-	]}`)
-	if err := gate(base, cand, 10, 5, 5, 5, -1, 0, -1); err != nil {
-		t.Fatalf("gate tripped on 1.8%% drift overhead under a 5%% budget: %v", err)
-	}
-}
-
-func TestGateDriftOverheadOverBudget(t *testing.T) {
-	dir := t.TempDir()
-	base := writeReport(t, dir, "base.json", baseReport)
-	cand := writeReport(t, dir, "cand.json", `{"records": 100, "drift_overhead_pct": 7.3, "runs": [
-	  {"name": "sequential", "frames_per_sec": 1000},
-	  {"name": "parallel4",  "frames_per_sec": 2000},
-	  {"name": "parallel8",  "frames_per_sec": 2500}
-	]}`)
-	if err := gate(base, cand, 10, 5, 5, 5, -1, 0, -1); err == nil {
-		t.Fatal("gate accepted 7.3% drift overhead against a 5% budget")
-	}
-	// Negative budget disables the drift gate entirely.
-	if err := gate(base, cand, 10, 5, 5, -1, -1, 0, -1); err != nil {
-		t.Fatalf("disabled drift gate still tripped: %v", err)
-	}
-}
-
-func TestGateDriftOverheadAbsentInCandidate(t *testing.T) {
-	dir := t.TempDir()
-	base := writeReport(t, dir, "base.json", baseReport)
-	// A candidate from before the drift layer must not trip the drift
-	// gate.
-	cand := writeReport(t, dir, "cand.json", baseReport)
-	if err := gate(base, cand, 10, 5, 5, 5, -1, 0, -1); err != nil {
-		t.Fatalf("gate tripped on a report without drift data: %v", err)
-	}
-}
-
-func TestGateSocketOverheadWithinBudget(t *testing.T) {
-	dir := t.TempDir()
-	base := writeReport(t, dir, "base.json", baseReport)
-	cand := writeReport(t, dir, "cand.json", `{"records": 100, "socket_overhead_pct": 2.4, "runs": [
-	  {"name": "sequential", "frames_per_sec": 1000},
-	  {"name": "parallel4",  "frames_per_sec": 2000},
-	  {"name": "parallel8",  "frames_per_sec": 2500}
-	]}`)
-	if err := gate(base, cand, 10, 5, 5, 5, 5, 0, -1); err != nil {
-		t.Fatalf("gate tripped on 2.4%% socket overhead under a 5%% budget: %v", err)
-	}
-}
-
-func TestGateSocketOverheadOverBudget(t *testing.T) {
-	dir := t.TempDir()
-	base := writeReport(t, dir, "base.json", baseReport)
-	cand := writeReport(t, dir, "cand.json", `{"records": 100, "socket_overhead_pct": 11.6, "runs": [
-	  {"name": "sequential", "frames_per_sec": 1000},
-	  {"name": "parallel4",  "frames_per_sec": 2000},
-	  {"name": "parallel8",  "frames_per_sec": 2500}
-	]}`)
-	if err := gate(base, cand, 10, 5, 5, 5, 5, 0, -1); err == nil {
-		t.Fatal("gate accepted 11.6% socket overhead against a 5% budget")
-	}
-	// Negative budget disables the socket gate entirely.
-	if err := gate(base, cand, 10, 5, 5, 5, -1, 0, -1); err != nil {
-		t.Fatalf("disabled socket gate still tripped: %v", err)
-	}
-}
-
-func TestGateSocketOverheadAbsentInCandidate(t *testing.T) {
-	dir := t.TempDir()
-	base := writeReport(t, dir, "base.json", baseReport)
-	// A candidate from before daemon mode must not trip the socket
-	// gate.
-	cand := writeReport(t, dir, "cand.json", baseReport)
-	if err := gate(base, cand, 10, 5, 5, 5, 5, 0, -1); err != nil {
-		t.Fatalf("gate tripped on a report without socket data: %v", err)
+	for field, body := range map[string]string{
+		"records": `{"records": 1000, "runs": [{"name": "sequential", "frames_per_sec": 1000}]}`,
+		"batch":   `{"records": 100, "batch": 1, "runs": [{"name": "sequential", "frames_per_sec": 1000}]}`,
+	} {
+		cand := writeReport(t, dir, field+".json", body)
+		err := gate(base, cand, 10, nil, 0, -1)
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("candidate with a different %s: err = %v, want a refusal naming %q", field, err, field)
+		}
 	}
 }
 
@@ -262,9 +172,9 @@ func TestGateSpeedupIgnoresSocketRuns(t *testing.T) {
 	cand := writeReport(t, dir, "cand.json", `{"records": 100, "num_cpu": 4, "runs": [
 	  {"name": "sequential", "frames_per_sec": 1000, "speedup_vs_sequential": 1.0},
 	  {"name": "parallel4",  "workers": 4, "frames_per_sec": 1010, "speedup_vs_sequential": 1.01},
-	  {"name": "parallel4+socket", "workers": 4, "socket": true, "frames_per_sec": 2500, "speedup_vs_sequential": 2.5}
+	  {"name": "parallel4+socket", "workers": 4, "layer": "socket", "frames_per_sec": 2500, "speedup_vs_sequential": 2.5}
 	]}`)
-	if err := gate(base, cand, 100, -1, -1, -1, -1, 2.0, -1); err == nil {
+	if err := gate(base, cand, 100, nil, 2.0, -1); err == nil {
 		t.Fatal("speedup gate credited a socket-source run")
 	}
 }
@@ -275,7 +185,7 @@ func TestGateSpeedupIgnoresSocketRuns(t *testing.T) {
 const speedupReport = `{"records": 100, "num_cpu": 4, "runs": [
   {"name": "sequential", "frames_per_sec": 1000, "speedup_vs_sequential": 1.0},
   {"name": "parallel4",  "workers": 4, "frames_per_sec": 2500, "speedup_vs_sequential": 2.5},
-  {"name": "parallel4+metrics", "workers": 4, "metrics": true, "frames_per_sec": 2600, "speedup_vs_sequential": 2.6},
+  {"name": "parallel4+metrics", "workers": 4, "layer": "metrics", "frames_per_sec": 2600, "speedup_vs_sequential": 2.6},
   {"name": "parallel8",  "workers": 8, "frames_per_sec": 2400, "speedup_vs_sequential": 2.4}
 ]}`
 
@@ -283,7 +193,7 @@ func TestGateParallelSpeedupPasses(t *testing.T) {
 	dir := t.TempDir()
 	base := writeReport(t, dir, "base.json", baseReport)
 	cand := writeReport(t, dir, "cand.json", speedupReport)
-	if err := gate(base, cand, 100, -1, -1, -1, -1, 2.0, -1); err != nil {
+	if err := gate(base, cand, 100, nil, 2.0, -1); err != nil {
 		t.Fatalf("gate tripped on a 2.5x best speedup against a 2.0x minimum: %v", err)
 	}
 }
@@ -297,7 +207,7 @@ func TestGateParallelSpeedupFailsWhenFlat(t *testing.T) {
 	  {"name": "parallel4",  "workers": 4, "frames_per_sec": 1010, "speedup_vs_sequential": 1.01},
 	  {"name": "parallel8",  "workers": 8, "frames_per_sec": 990, "speedup_vs_sequential": 0.99}
 	]}`)
-	if err := gate(base, cand, 100, -1, -1, -1, -1, 2.0, -1); err == nil {
+	if err := gate(base, cand, 100, nil, 2.0, -1); err == nil {
 		t.Fatal("gate accepted a flat parallel speedup on a 4-CPU host")
 	}
 }
@@ -312,7 +222,7 @@ func TestGateParallelSpeedupSkipsOnSingleCPU(t *testing.T) {
 	  {"name": "sequential", "frames_per_sec": 1000, "speedup_vs_sequential": 1.0},
 	  {"name": "parallel4",  "workers": 4, "frames_per_sec": 1010, "speedup_vs_sequential": 1.01}
 	]}`)
-	if err := gate(base, cand, 100, -1, -1, -1, -1, 2.0, -1); err != nil {
+	if err := gate(base, cand, 100, nil, 2.0, -1); err != nil {
 		t.Fatalf("speedup gate did not skip on a single-CPU candidate: %v", err)
 	}
 }
@@ -331,7 +241,7 @@ func TestGateAllocsWithinBudget(t *testing.T) {
 	  {"name": "parallel4",  "frames_per_sec": 2000, "allocs_per_frame": 11},
 	  {"name": "parallel8",  "frames_per_sec": 2500, "allocs_per_frame": 10.5}
 	]}`)
-	if err := gate(base, cand, 10, -1, -1, -1, -1, 0, 25); err != nil {
+	if err := gate(base, cand, 10, nil, 0, 25); err != nil {
 		t.Fatalf("gate tripped on ~10%% median allocs growth under a 25%% budget: %v", err)
 	}
 }
@@ -346,11 +256,11 @@ func TestGateAllocsOverBudget(t *testing.T) {
 	  {"name": "parallel4",  "frames_per_sec": 2000, "allocs_per_frame": 20},
 	  {"name": "parallel8",  "frames_per_sec": 2500, "allocs_per_frame": 20}
 	]}`)
-	if err := gate(base, cand, 10, -1, -1, -1, -1, 0, 25); err == nil {
+	if err := gate(base, cand, 10, nil, 0, 25); err == nil {
 		t.Fatal("gate accepted a 100% allocs-per-frame growth against a 25% budget")
 	}
 	// Negative budget disables the allocation gate entirely.
-	if err := gate(base, cand, 10, -1, -1, -1, -1, 0, -1); err != nil {
+	if err := gate(base, cand, 10, nil, 0, -1); err != nil {
 		t.Fatalf("disabled allocs gate still tripped: %v", err)
 	}
 }
@@ -366,7 +276,7 @@ func TestGateAllocsSkipsOldBaseline(t *testing.T) {
 	  {"name": "parallel4",  "frames_per_sec": 2000, "allocs_per_frame": 10},
 	  {"name": "parallel8",  "frames_per_sec": 2500, "allocs_per_frame": 10}
 	]}`)
-	if err := gate(base, cand, 10, -1, -1, -1, -1, 0, 25); err != nil {
+	if err := gate(base, cand, 10, nil, 0, 25); err != nil {
 		t.Fatalf("allocs gate did not skip on a baseline without the field: %v", err)
 	}
 }

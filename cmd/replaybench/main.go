@@ -1,19 +1,14 @@
 // Command replaybench seeds the repository's performance trajectory:
 // it generates the standard 10k-record Vehicle B capture, replays it
-// sequentially and through the concurrent pipeline at 1/2/4/8
-// workers — each with observability off and on, plus tracing+flight,
-// fault-layer (recovery reader + quarantine), drift-monitor and
-// socket-source (capture streamed through a loopback unix socket, the
-// daemon's live-ingestion shape) configurations at 1/4/8 workers,
-// plus fleet pairs with and without the incident correlation layer —
-// and writes the results (plus the measured metrics, flight-recorder,
-// fault-layer, pool-sharing, incident-layer, drift-layer and
-// socket-ingestion overheads) to a JSON file that CI and future PRs
-// can diff (cmd/benchgate enforces the diff).
+// through every row of the layer table below — the plain sequential
+// and 1/2/4/8-worker pipeline, each observability or fleet layer
+// stacked on top of its paired base — and writes the results, plus
+// each layer's measured overhead, to a JSON file that CI and future
+// PRs can diff (cmd/benchgate enforces the diff).
 //
 // Usage:
 //
-//	replaybench -out BENCH_pipeline.json [-records 10000] [-repeat 3]
+//	replaybench -out BENCH_pipeline.json [-records 10000] [-repeat 15] [-batch 0] [-gomaxprocs 0]
 //
 // Each configuration runs repeat times and reports its best run:
 // host interference only ever slows a run, so with enough repeats
@@ -24,6 +19,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -36,6 +32,7 @@ import (
 	"time"
 
 	"vprofile/internal/core"
+	"vprofile/internal/engine"
 	"vprofile/internal/experiments"
 	"vprofile/internal/ids"
 	"vprofile/internal/obs"
@@ -49,45 +46,24 @@ import (
 
 // Run is one benchmark configuration's result.
 type Run struct {
-	Name    string `json:"name"`
-	Workers int    `json:"workers"` // 0 = sequential reference path
-	// GOMAXPROCS is the value the run actually executed under — not
-	// the flag that was requested. A parallel run recorded at 1 here
-	// measured timeslicing, not parallelism, which is why main errors
-	// out rather than publish such a report.
-	GOMAXPROCS   int     `json:"gomaxprocs"`
-	Metrics      bool    `json:"metrics"`
-	Flight       bool    `json:"flight,omitempty"`
-	Faults       bool    `json:"faults,omitempty"`
-	Drift        bool    `json:"drift,omitempty"`
-	DriftBase    bool    `json:"drift_base,omitempty"` // no-op sink paired against the drift config
-	Socket       bool    `json:"socket,omitempty"`     // capture read from a unix socket instead of memory
-	Buses        int     `json:"buses,omitempty"`      // >1 on fleet/indep pair configs
-	SharedPool   bool    `json:"shared_pool,omitempty"`
-	Incidents    bool    `json:"incidents,omitempty"`
-	Seconds      float64 `json:"seconds"`
+	Name    string  `json:"name"`
+	Layer   string  `json:"layer,omitempty"` // table row; "" on the base rows
+	Workers int     `json:"workers"`         // 0 = sequential reference path
+	Buses   int     `json:"buses,omitempty"` // >1 on fleet rows
+	Seconds float64 `json:"seconds"`
+	// FramesPerSec counts frames across every bus of the run.
 	FramesPerSec float64 `json:"frames_per_sec"`
 	// AllocsPerFrame is the heap-allocation count per replayed frame
 	// (runtime Mallocs delta over the run, minimum across repeats —
 	// concurrent GC noise only ever inflates it). The pipeline always
 	// recycles its record buffers, so regressions here mean a new
 	// per-frame allocation crept into the hot path.
-	AllocsPerFrame float64 `json:"allocs_per_frame"`
-	// SpeedupVsSequential compares against the uninstrumented
-	// sequential run; OverheadPct compares metrics-on (or
-	// tracing+flight-on, or fault-layer-on) against the same worker
-	// count with everything off, each side taken as its
-	// best-of-repeat time. FleetOverheadPct compares a shared-pool
-	// fleet replay against the same buses running independent private
-	// pools of the same total width.
-	SpeedupVsSequential float64  `json:"speedup_vs_sequential"`
-	OverheadPct         *float64 `json:"metrics_overhead_pct,omitempty"`
-	FlightOverheadPct   *float64 `json:"flight_overhead_pct,omitempty"`
-	FaultsOverheadPct   *float64 `json:"faults_overhead_pct,omitempty"`
-	FleetOverheadPct    *float64 `json:"fleet_overhead_pct,omitempty"`
-	IncidentOverheadPct *float64 `json:"incident_overhead_pct,omitempty"`
-	DriftOverheadPct    *float64 `json:"drift_overhead_pct,omitempty"`
-	SocketOverheadPct   *float64 `json:"socket_overhead_pct,omitempty"`
+	AllocsPerFrame      float64 `json:"allocs_per_frame"`
+	SpeedupVsSequential float64 `json:"speedup_vs_sequential"`
+	// OverheadPct compares this run against its layer's paired base
+	// run of the same worker count, each side taken as its
+	// best-of-repeat time.
+	OverheadPct *float64 `json:"overhead_pct,omitempty"`
 }
 
 // Report is the BENCH_pipeline.json schema.
@@ -108,87 +84,304 @@ type Report struct {
 	NumCPU      int    `json:"num_cpu"`
 	GeneratedAt string `json:"generated_at"`
 	Runs        []Run  `json:"runs"`
-	// MetricsOverheadPct is the headline number: the median overhead
-	// across the instrumented configurations (per-config overheads
-	// are in Runs). Median rather than worst keeps one noisy run on a
-	// loaded host from misstating the cost. The acceptance bar keeps
-	// it under 5%.
-	MetricsOverheadPct float64 `json:"metrics_overhead_pct"`
-	// FlightOverheadPct is the same median over the tracing+flight
-	// configurations: per-frame spans plus the flight recorder's ring
-	// buffer, compared against the same worker count uninstrumented.
-	// Both sides recycle raw records; the traced side hands each
-	// decoded record to the recorder, so the figure is the whole cost
-	// of recording.
-	FlightOverheadPct float64 `json:"flight_overhead_pct"`
-	// FaultsOverheadPct is the same median over the fault-layer
-	// configurations: recovery-enabled capture reader plus the per-SA
-	// quarantine state machine, on a clean capture (zero fault
-	// intensity), compared against the same worker count with the
-	// layer off. The absolute cost is small; against the pooled
-	// baseline it reads as ~10% because the baseline itself got faster.
-	FaultsOverheadPct float64 `json:"faults_overhead_pct"`
-	// FleetOverheadPct is the median over the fleet pair
-	// configurations: two concurrent replays on one shared pool versus
-	// the same two replays on independent private pools of the same
-	// total width. It prices the sharing mechanism (dispatcher +
-	// submit contention), not worker-count differences. The acceptance
-	// bar keeps it under 5%.
-	FleetOverheadPct float64 `json:"fleet_overhead_pct"`
-	// IncidentOverheadPct is the median over the incident-layer
-	// configurations: a fleet replay whose per-record sink feeds the
-	// incident correlator (evidence construction + hot-path Observe, no
-	// alarms on the clean fixture) against the same fleet shape with a
-	// no-op sink. Both sides pay the sink call itself, so the figure
-	// prices the correlator alone. The acceptance bar keeps it under 5%.
-	IncidentOverheadPct float64 `json:"incident_overhead_pct"`
-	// DriftOverheadPct is the same median over the drift-layer
-	// configurations: a replay whose per-record sink feeds the per-SA
-	// drift monitor (sketch inserts + detector updates on every scored
-	// frame) against the same worker count with a no-op sink. Both
-	// sides pay the sink call, so the figure prices the drift layer
-	// alone. The acceptance bar keeps it under 5%.
-	DriftOverheadPct float64 `json:"drift_overhead_pct"`
-	// SocketOverheadPct is the same median over the socket-source
-	// configurations: the capture streamed through a loopback unix
-	// socket (the daemon's live-ingestion shape, writer goroutine
-	// feeding the connection) against the same worker count reading
-	// from memory. It prices socket ingestion — syscalls plus the
-	// cross-goroutine copy — not the analysis path, which is identical
-	// on both sides. The acceptance bar keeps it under 5%.
-	SocketOverheadPct float64 `json:"socket_overhead_pct"`
+	// OverheadPct maps each layer to the median of its runs'
+	// overheads across worker counts. Median rather than worst keeps
+	// one noisy run on a loaded host from misstating the cost.
+	OverheadPct map[string]float64 `json:"overhead_pct"`
 }
 
-func main() {
-	out := flag.String("out", "BENCH_pipeline.json", "output JSON file")
-	records := flag.Int("records", 10000, "capture size in records")
-	repeat := flag.Int("repeat", 15, "runs per configuration (best is reported)")
-	batch := flag.Int("batch", 0, "pipeline batch size (0 = the pipeline default)")
-	procs := flag.Int("gomaxprocs", 0, "GOMAXPROCS for the whole benchmark, 0 = NumCPU (set >= 2 explicitly on a single-core host to benchmark by timeslicing)")
-	flag.Parse()
-	if err := run(*out, *records, *repeat, *batch, *procs); err != nil {
-		fmt.Fprintln(os.Stderr, "replaybench:", err)
-		os.Exit(1)
+// layer is one row of the benchmark table: a configuration replayed
+// at each of its worker counts. A row with a base stacks its apply
+// hook on top of the base's set-up, so the pair's time ratio prices
+// exactly what apply adds.
+type layer struct {
+	name    string // key in Report.OverheadPct; "" on a base-only row
+	suffix  string // appended to the run name
+	stem    string // run-name stem of a multi-bus row
+	base    *layer
+	buses   int
+	workers []int // 0 = pipeline.Sequential
+	apply   func(*rig) error
+}
+
+var (
+	// plain is every single-bus row's base: the pipeline delivering to
+	// a no-op per-record sink, as every production caller has a sink.
+	plain = &layer{workers: []int{0, 1, 2, 4, 8}}
+	// indep replays two buses on independent private pools; fleet is
+	// the same two buses on one shared pool of the same total width,
+	// so the pair prices the sharing mechanism (dispatcher + submit
+	// contention), not worker-count differences.
+	indep = &layer{stem: "indep", buses: 2, workers: []int{1, 4}}
+	fleet = &layer{name: "fleet", stem: "fleet", base: indep, buses: 2, workers: []int{1, 4}, apply: sharePool}
+
+	table = []*layer{
+		plain,
+		{name: "metrics", suffix: "+metrics", base: plain, workers: []int{0, 1, 2, 4, 8}, apply: withMetrics},
+		{name: "flight", suffix: "+flight", base: plain, workers: []int{1, 4, 8}, apply: withFlight},
+		{name: "faults", suffix: "+faults", base: plain, workers: []int{1, 4, 8}, apply: withFaults},
+		{name: "drift", suffix: "+drift", base: plain, workers: []int{1, 4, 8}, apply: withDrift},
+		{name: "socket", suffix: "+socket", base: plain, workers: []int{1, 4, 8}, apply: viaSocket},
+		indep,
+		fleet,
+		{name: "incident", suffix: "+incidents", stem: "fleet", base: fleet, buses: 2, workers: []int{1, 4}, apply: correlate},
 	}
+)
+
+// runName names one run of the row. BENCH_pipeline.json's history is
+// keyed by these names, so they must stay stable.
+func (l *layer) runName(workers int) string {
+	switch {
+	case l.buses > 1:
+		return fmt.Sprintf("%s%dx%d%s", l.stem, l.buses, workers, l.suffix)
+	case workers == 0:
+		return "sequential" + l.suffix
+	}
+	return fmt.Sprintf("parallel%d%s", workers, l.suffix)
 }
 
-// fixture builds the capture and trained model the replay benchmarks
-// share (mirrors replay_bench_test.go).
-func fixture(records int) ([]byte, *core.Model, *vehicle.Vehicle, error) {
+// setup applies the base chain's hooks, then the row's own.
+func (l *layer) setup(r *rig) error {
+	if l.base != nil {
+		if err := l.base.setup(r); err != nil {
+			return err
+		}
+	}
+	if l.apply == nil {
+		return nil
+	}
+	return l.apply(r)
+}
+
+// rig is one replay's set-up: the buses it drives, which a layer's
+// apply hook adjusts before the timed run, and what to release after.
+type rig struct {
+	fx       *fixture
+	buses    []*bus
+	cleanups []func() // run in reverse after the timed run
+}
+
+type bus struct {
+	name string
+	rd   *trace.Reader
+	cfg  pipeline.Config
+	comp ids.CompositeConfig
+	mon  *ids.Composite // built from comp once every hook has run
+	sink pipeline.Sink
+}
+
+func (r *rig) cleanup(f func()) { r.cleanups = append(r.cleanups, f) }
+
+func withMetrics(r *rig) error {
+	for _, b := range r.buses {
+		reg := obs.NewRegistry()
+		b.cfg.Metrics = pipeline.NewMetrics(reg)
+		b.comp.Metrics = ids.NewMetrics(reg)
+		b.rd.SetMetrics(trace.NewMetrics(reg))
+	}
+	return nil
+}
+
+// withFlight adds per-frame tracing and an in-memory flight recorder
+// (no Dir): the steady-state span + ring-buffer cost, not bundle IO —
+// the fixture traffic is clean, so no bundles would be cut anyway.
+func withFlight(r *rig) error {
+	for _, b := range r.buses {
+		rec, err := tracing.NewRecorder(tracing.RecorderConfig{})
+		if err != nil {
+			return err
+		}
+		r.cleanup(func() { _ = rec.Close() })
+		b.cfg.Recorder = rec
+	}
+	return nil
+}
+
+// withFaults turns the degraded-mode layer on at zero fault intensity:
+// the reader scans for corruption it never finds, the quarantine
+// machine scores frames that are never suspicious. This is the cost a
+// hardened deployment pays on a healthy bus.
+func withFaults(r *rig) error {
+	for _, b := range r.buses {
+		b.rd.EnableRecovery()
+		b.comp.Quarantine = &ids.QuarantineConfig{}
+	}
+	return nil
+}
+
+// withDrift feeds every verdict to a per-SA drift monitor through the
+// engine's own projection.
+func withDrift(r *rig) error {
+	store, err := engine.NewModelStore(r.fx.model)
+	if err != nil {
+		return err
+	}
+	for _, b := range r.buses {
+		mon, inner := drift.NewMonitor(drift.Config{}), b.sink
+		b.sink = func(res pipeline.Result) error {
+			engine.ObserveDrift(mon, store, res)
+			return inner(res)
+		}
+	}
+	return nil
+}
+
+// viaSocket streams the capture through a loopback unix socket — the
+// daemon's live-ingestion shape: a writer goroutine feeds the
+// connection while the pipeline reads it. Everything downstream of
+// the reader is the same as the base run, so the pair prices socket
+// ingestion (syscalls plus the cross-goroutine copy) alone.
+func viaSocket(r *rig) error {
+	for _, b := range r.buses {
+		dir, err := os.MkdirTemp("", "replaybench")
+		if err != nil {
+			return err
+		}
+		r.cleanup(func() { _ = os.RemoveAll(dir) })
+		ln, err := net.Listen("unix", filepath.Join(dir, "ingest.sock"))
+		if err != nil {
+			return err
+		}
+		// Cleanup runs in reverse: closing the client connection and
+		// the listener unblocks the writer, then it is waited for.
+		done := make(chan struct{})
+		r.cleanup(func() { <-done })
+		r.cleanup(func() { _ = ln.Close() })
+		go func() {
+			defer close(done)
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			_, _ = io.Copy(conn, bytes.NewReader(r.fx.capture))
+			_ = conn.Close()
+		}()
+		conn, err := net.Dial("unix", ln.Addr().String())
+		if err != nil {
+			return err
+		}
+		r.cleanup(func() { _ = conn.Close() })
+		if b.rd, err = trace.NewReader(conn); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sharePool puts every bus on one pool of the buses' total width.
+func sharePool(r *rig) error {
+	pool := pipeline.NewPool(len(r.buses) * r.buses[0].cfg.Workers)
+	r.cleanup(pool.Close)
+	for _, b := range r.buses {
+		b.cfg.Pool = pool
+	}
+	return nil
+}
+
+// correlate feeds every bus's verdicts to one incident correlator
+// through the engine's own evidence projection. The clean fixture
+// raises no alarms, so this prices the hot-path Observe alone.
+func correlate(r *rig) error {
+	corr := incident.New(incident.Config{CorrelateBuses: 2})
+	r.cleanup(func() { corr.CloseOut() })
+	for _, b := range r.buses {
+		stream, inner := corr.Bus(b.name), b.sink
+		b.sink = func(res pipeline.Result) error {
+			stream.Observe(engine.IncidentEvidence(res))
+			return inner(res)
+		}
+	}
+	return nil
+}
+
+// replay runs one row at one worker count and returns the wall time of
+// the run — every bus replayed concurrently, set-up and cleanup
+// excluded — and its heap allocations per frame.
+func replay(fx *fixture, l *layer, workers, batch int) (time.Duration, float64, error) {
+	r := &rig{fx: fx, buses: make([]*bus, max(l.buses, 1))}
+	defer func() {
+		for i := len(r.cleanups) - 1; i >= 0; i-- {
+			r.cleanups[i]()
+		}
+	}()
+	for i := range r.buses {
+		rd, err := trace.NewReader(bytes.NewReader(fx.capture))
+		if err != nil {
+			return 0, 0, err
+		}
+		r.buses[i] = &bus{
+			name: fmt.Sprintf("bus%d", i),
+			rd:   rd,
+			cfg:  pipeline.Config{Workers: workers, Batch: batch},
+			comp: ids.CompositeConfig{Extraction: fx.v.ExtractionConfig()},
+			sink: func(pipeline.Result) error { return nil },
+		}
+	}
+	if err := l.setup(r); err != nil {
+		return 0, 0, err
+	}
+	for _, b := range r.buses {
+		var err error
+		if b.mon, err = ids.NewComposite(fx.model, b.comp); err != nil {
+			return 0, 0, err
+		}
+	}
+
+	errs := make([]error, len(r.buses))
+	m0 := mallocsNow()
+	start := time.Now()
+	var wg sync.WaitGroup
+	for i, b := range r.buses {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var st pipeline.Stats
+			if workers == 0 {
+				st, errs[i] = pipeline.Sequential(b.rd, b.mon, b.sink)
+			} else {
+				st, errs[i] = pipeline.Replay(b.rd, b.mon, b.cfg, b.sink)
+			}
+			if errs[i] == nil && st.RecordsOut != int64(fx.records) {
+				errs[i] = fmt.Errorf("%s replayed %d of %d records", b.name, st.RecordsOut, fx.records)
+			}
+		}()
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	allocs := float64(mallocsNow()-m0) / float64(fx.records*len(r.buses))
+	return elapsed, allocs, errors.Join(errs...)
+}
+
+// mallocsNow reads the runtime's cumulative heap-allocation counter.
+func mallocsNow() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
+}
+
+// fixture is the capture and trained model every replay shares.
+type fixture struct {
+	capture []byte
+	records int
+	model   *core.Model
+	v       *vehicle.Vehicle
+}
+
+func newFixture(records int) (*fixture, error) {
 	v := vehicle.NewVehicleB()
 	train, err := experiments.CollectSamples(v, 1500, 7, nil, v.ExtractionConfig())
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	model, err := core.Train(experiments.CoreSamples(train), core.TrainConfig{
 		Metric: core.Mahalanobis, SAMap: v.SAMap(),
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	val, err := experiments.CollectSamples(v, 800, 8, nil, v.ExtractionConfig())
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	margin, _ := experiments.OptimizeMargin(experiments.FalsePositiveRecords(model, val), experiments.MaxAccuracy)
 	model.Margin = margin * 1.5
@@ -196,7 +389,7 @@ func fixture(records int) ([]byte, *core.Model, *vehicle.Vehicle, error) {
 	var buf bytes.Buffer
 	w, err := trace.NewWriter(&buf, trace.Header{Vehicle: v.Name, BitRate: v.BitRate, ADC: v.ADC})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	err = v.Stream(vehicle.GenConfig{NumMessages: records, Seed: 99, DiagnosticTraffic: true}, func(m vehicle.Message) error {
 		return w.Write(&trace.Record{
@@ -208,218 +401,62 @@ func fixture(records int) ([]byte, *core.Model, *vehicle.Vehicle, error) {
 		})
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	if err := w.Flush(); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	return buf.Bytes(), model, v, nil
+	return &fixture{capture: buf.Bytes(), records: records, model: model, v: v}, nil
 }
 
-// mallocsNow reads the runtime's cumulative heap-allocation counter.
-// The delta across a replay, divided by the record count, is the
-// allocs-per-frame figure the report publishes.
-func mallocsNow() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.Mallocs
+// config is one run of the sweep: a table row at one worker count.
+type config struct {
+	l       *layer
+	workers int
+	name    string
 }
 
-// replayOnce runs one replay and returns its elapsed wall time and
-// heap allocations per frame.
-func replayOnce(capture []byte, model *core.Model, v *vehicle.Vehicle, workers, records, batch int, withMetrics, withFlight, withFaults, driftBase, withDrift, withSocket bool) (time.Duration, float64, error) {
-	// The socket configs replay the identical capture through a
-	// loopback unix socket — the daemon's live-ingestion shape: a
-	// writer goroutine feeds the connection while the pipeline reads
-	// it. Everything downstream of the reader is byte-for-byte the
-	// same as the in-memory config it is paired with, so the ratio
-	// prices socket ingestion alone.
-	var src io.Reader = bytes.NewReader(capture)
-	if withSocket {
-		dir, err := os.MkdirTemp("", "replaybench")
-		if err != nil {
-			return 0, 0, err
-		}
-		defer os.RemoveAll(dir)
-		ln, err := net.Listen("unix", filepath.Join(dir, "ingest.sock"))
-		if err != nil {
-			return 0, 0, err
-		}
-		defer ln.Close()
-		go func() {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			_, _ = io.Copy(conn, bytes.NewReader(capture))
-			conn.Close()
-		}()
-		conn, err := net.Dial("unix", ln.Addr().String())
-		if err != nil {
-			return 0, 0, err
-		}
-		defer conn.Close()
-		src = conn
-	}
-	rd, err := trace.NewReader(src)
-	if err != nil {
-		return 0, 0, err
-	}
-	// The drift pair runs with a per-record sink on both sides — a
-	// no-op for the base config, the drift monitor's Observe for the
-	// drift config — so their ratio prices the drift layer itself, not
-	// sink dispatch.
-	var sink func(pipeline.Result) error
-	if driftBase {
-		sink = func(pipeline.Result) error { return nil }
-	}
-	if withDrift {
-		mon := drift.NewMonitor(drift.Config{})
-		sink = func(r pipeline.Result) error {
-			vd := r.Verdict
-			if vd.ExtractErr != nil || vd.Voltage.Expected < 0 || vd.Voltage.Predict < 0 {
-				return nil
-			}
-			exp := int(vd.Voltage.Expected)
-			if exp >= len(model.Clusters) {
-				return nil
-			}
-			mon.Observe(uint8(r.Frame.SA()), vd.Voltage.MinDist,
-				model.Clusters[exp].MaxDist+model.Margin, r.Record.TimeSec)
-			return nil
+// sweep lists every run of the table, ordered by bus count and worker
+// count so each run executes directly after the base run it is
+// compared against, under (nearly) the same host conditions.
+func sweep() []config {
+	var cs []config
+	for _, l := range table {
+		for _, w := range l.workers {
+			cs = append(cs, config{l, w, l.runName(w)})
 		}
 	}
-	var im *ids.Metrics
-	cfg := pipeline.Config{Workers: workers, Batch: batch}
-	if withMetrics {
-		reg := obs.NewRegistry()
-		cfg.Metrics = pipeline.NewMetrics(reg)
-		im = ids.NewMetrics(reg)
-		rd.SetMetrics(trace.NewMetrics(reg))
-	}
-	if withFlight {
-		// In-memory recorder (no Dir): the benchmark measures the
-		// steady-state tracing + ring-buffer cost, not bundle IO —
-		// the fixture traffic is clean so no bundles would be cut
-		// anyway.
-		rec, err := tracing.NewRecorder(tracing.RecorderConfig{})
-		if err != nil {
-			return 0, 0, err
+	sort.SliceStable(cs, func(i, j int) bool {
+		if cs[i].l.buses != cs[j].l.buses {
+			return cs[i].l.buses < cs[j].l.buses
 		}
-		defer rec.Close()
-		cfg.Recorder = rec
-	}
-	mcfg := ids.CompositeConfig{Extraction: v.ExtractionConfig(), Metrics: im}
-	if withFaults {
-		// The degraded-mode layer at zero fault intensity: the reader
-		// scans for corruption it never finds, the quarantine machine
-		// scores frames that are never suspicious. This is the cost a
-		// hardened deployment pays on a healthy bus.
-		rd.EnableRecovery()
-		mcfg.Quarantine = &ids.QuarantineConfig{}
-	}
-	mon, err := ids.NewComposite(model, mcfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	m0 := mallocsNow()
-	var st pipeline.Stats
-	if workers == 0 {
-		st, err = pipeline.Sequential(rd, mon, sink)
-	} else {
-		st, err = pipeline.Replay(rd, mon, cfg, sink)
-	}
-	allocs := float64(mallocsNow()-m0) / float64(records)
-	if err != nil {
-		return 0, 0, err
-	}
-	if st.RecordsOut != int64(records) {
-		return 0, 0, fmt.Errorf("replayed %d of %d records", st.RecordsOut, records)
-	}
-	return st.WallTime, allocs, nil
+		return cs[i].workers < cs[j].workers
+	})
+	return cs
 }
 
-// evidence maps a pipeline result onto the incident correlator's
-// per-frame observation (mirrors the engine's sink wrapper).
-func evidence(r pipeline.Result) incident.Evidence {
-	v := r.Verdict
-	return incident.Evidence{
-		SA:         uint8(r.Frame.SA()),
-		T:          r.Record.TimeSec,
-		Voltage:    v.ExtractErr == nil && v.Voltage.Anomaly,
-		Preprocess: v.ExtractErr != nil,
-		Timing:     v.Timing == ids.PeriodTooEarly,
-		Transport:  v.TransferErr != nil,
-		Suppressed: v.Suppressed,
-	}
-}
+var errUsage = errors.New("usage")
 
-// fleetOnce replays the capture `buses` times concurrently and
-// returns the overall elapsed time. With shared=true every replay
-// submits to one pool of buses×workersPerBus goroutines (the fleet
-// shape); otherwise each replay owns a private pool of workersPerBus
-// goroutines — the same total worker count, so the pair isolates the
-// cost of the sharing mechanism itself. With incidents=true each
-// bus's sink feeds a shared incident correlator; every config pays a
-// per-record sink call either way (no-op without incidents), so the
-// incident pair prices the correlator, not sink dispatch.
-func fleetOnce(capture []byte, model *core.Model, v *vehicle.Vehicle, buses, workersPerBus, records, batch int, shared, incidents bool) (time.Duration, float64, error) {
-	var pool *pipeline.Pool
-	if shared {
-		pool = pipeline.NewPool(buses * workersPerBus)
-		defer pool.Close()
-	}
-	var corr *incident.Correlator
-	if incidents {
-		corr = incident.New(incident.Config{CorrelateBuses: 2})
-	}
-	errs := make([]error, buses)
-	m0 := mallocsNow()
-	start := time.Now()
-	var wg sync.WaitGroup
-	for b := 0; b < buses; b++ {
-		rd, err := trace.NewReader(bytes.NewReader(capture))
-		if err != nil {
-			return 0, 0, err
+func main() {
+	out := flag.String("out", "BENCH_pipeline.json", "output JSON file")
+	records := flag.Int("records", 10000, "capture size in records")
+	repeat := flag.Int("repeat", 15, "runs per configuration (best is reported)")
+	batch := flag.Int("batch", 0, "pipeline batch size (0 = the pipeline default)")
+	procs := flag.Int("gomaxprocs", 0, "GOMAXPROCS for the whole benchmark, 0 = NumCPU (set >= 2 explicitly on a single-core host to benchmark by timeslicing)")
+	flag.Parse()
+	if err := run(*out, *records, *repeat, *batch, *procs); err != nil {
+		fmt.Fprintln(os.Stderr, "replaybench:", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
 		}
-		mon, err := ids.NewComposite(model, ids.CompositeConfig{Extraction: v.ExtractionConfig()})
-		if err != nil {
-			return 0, 0, err
-		}
-		sink := func(pipeline.Result) error { return nil }
-		if corr != nil {
-			stream := corr.Bus(fmt.Sprintf("bus%d", b))
-			sink = func(r pipeline.Result) error {
-				stream.Observe(evidence(r))
-				return nil
-			}
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cfg := pipeline.Config{Workers: workersPerBus, Batch: batch, Pool: pool}
-			var st pipeline.Stats
-			st, errs[b] = pipeline.Replay(rd, mon, cfg, sink)
-			if errs[b] == nil && st.RecordsOut != int64(records) {
-				errs[b] = fmt.Errorf("replayed %d of %d records", st.RecordsOut, records)
-			}
-		}()
+		os.Exit(1)
 	}
-	wg.Wait()
-	if corr != nil {
-		corr.CloseOut()
-	}
-	elapsed := time.Since(start)
-	allocs := float64(mallocsNow()-m0) / float64(records*buses)
-	for _, err := range errs {
-		if err != nil {
-			return 0, 0, err
-		}
-	}
-	return elapsed, allocs, nil
 }
 
 func run(out string, records, repeat, batch, procs int) error {
+	if records < 1 || repeat < 1 {
+		return fmt.Errorf("%w: -records and -repeat must be >= 1 (got %d and %d)", errUsage, records, repeat)
+	}
 	if procs <= 0 {
 		procs = runtime.NumCPU()
 	}
@@ -435,83 +472,27 @@ func run(out string, records, repeat, batch, procs int) error {
 	defer runtime.GOMAXPROCS(prev)
 
 	fmt.Fprintf(os.Stderr, "replaybench: generating %d-record fixture (GOMAXPROCS=%d, NumCPU=%d)...\n", records, procs, runtime.NumCPU())
-	capture, model, v, err := fixture(records)
+	fx, err := newFixture(records)
 	if err != nil {
 		return err
-	}
-
-	type config struct {
-		name      string
-		workers   int
-		metrics   bool
-		flight    bool
-		faults    bool
-		driftBase bool // no-op per-record sink (the drift config's baseline)
-		drift     bool // sink feeds the per-SA drift monitor
-		socket    bool // capture streamed through a loopback unix socket
-		buses     int  // >1 runs the fleet pair shape
-		shared    bool // fleet: one shared pool instead of private pools
-		incidents bool // fleet: sink feeds the incident correlator
-	}
-	// Each instrumented configuration sits directly after the plain
-	// run it is compared against, so the pair executes back-to-back
-	// under (nearly) the same host conditions — overhead percentages
-	// then measure instrumentation, not load drift between distant
-	// runs. Flight configs (tracing + recorder, no metrics) and fault
-	// configs (recovery reader + quarantine, no metrics) run at 1/4/8
-	// workers.
-	var configs []config
-	configs = append(configs,
-		config{name: "sequential"},
-		config{name: "sequential+metrics", metrics: true})
-	for _, w := range []int{1, 2, 4, 8} {
-		configs = append(configs, config{name: fmt.Sprintf("parallel%d", w), workers: w})
-		configs = append(configs, config{name: fmt.Sprintf("parallel%d+metrics", w), workers: w, metrics: true})
-		if w != 2 {
-			configs = append(configs, config{name: fmt.Sprintf("parallel%d+flight", w), workers: w, flight: true})
-			configs = append(configs, config{name: fmt.Sprintf("parallel%d+faults", w), workers: w, faults: true})
-			// Drift pair: the +driftbase config runs a no-op sink so the
-			// +drift config directly after it isolates the monitor's cost.
-			configs = append(configs, config{name: fmt.Sprintf("parallel%d+driftbase", w), workers: w, driftBase: true})
-			configs = append(configs, config{name: fmt.Sprintf("parallel%d+drift", w), workers: w, drift: true})
-			// Socket config: same pipeline, capture arriving over a
-			// loopback unix socket instead of memory (compared against
-			// the plain run of the same worker count).
-			configs = append(configs, config{name: fmt.Sprintf("parallel%d+socket", w), workers: w, socket: true})
-		}
-	}
-	// Fleet pairs: each shared-pool config sits directly after the
-	// independent-pools config it is compared against, same total
-	// worker count on both sides; the incident config follows the
-	// fleet config it is compared against.
-	for _, w := range []int{1, 4} {
-		configs = append(configs, config{name: fmt.Sprintf("indep2x%d", w), workers: w, buses: 2})
-		configs = append(configs, config{name: fmt.Sprintf("fleet2x%d", w), workers: w, buses: 2, shared: true})
-		configs = append(configs, config{name: fmt.Sprintf("fleet2x%d+incidents", w), workers: w, buses: 2, shared: true, incidents: true})
 	}
 
 	// Interleave the runs round-robin across every configuration
 	// rather than finishing one before starting the next: host noise
 	// (a shared or thermally-throttled box) then lands on all configs
-	// alike, so the best-of comparison — especially metrics-on versus
-	// metrics-off of the same worker count — stays fair. Each pass
-	// also starts at a different offset, so no configuration is pinned
-	// to the start or end of the process, where turbo decay or heap
-	// growth would bias it the same way every pass.
+	// alike, so the best-of comparison of a layer against its base
+	// stays fair. Each pass also starts at a different offset, so no
+	// configuration is pinned to the start or end of the process,
+	// where turbo decay or heap growth would bias it the same way
+	// every pass.
+	configs := sweep()
 	best := make(map[string]time.Duration, len(configs))
 	bestAllocs := make(map[string]float64, len(configs))
 	for i := 0; i < repeat; i++ {
 		off := i * len(configs) / repeat
 		for j := range configs {
 			c := configs[(j+off)%len(configs)]
-			var d time.Duration
-			var allocs float64
-			var err error
-			if c.buses > 1 {
-				d, allocs, err = fleetOnce(capture, model, v, c.buses, c.workers, records, batch, c.shared, c.incidents)
-			} else {
-				d, allocs, err = replayOnce(capture, model, v, c.workers, records, batch, c.metrics, c.flight, c.faults, c.driftBase, c.drift, c.socket)
-			}
+			d, allocs, err := replay(fx, c.l, c.workers, batch)
 			if err != nil {
 				return fmt.Errorf("%s: %w", c.name, err)
 			}
@@ -525,14 +506,6 @@ func run(out string, records, repeat, batch, procs int) error {
 			}
 		}
 	}
-	for _, c := range configs {
-		n := records
-		if c.buses > 1 {
-			n = records * c.buses
-		}
-		fmt.Fprintf(os.Stderr, "replaybench: %-20s %8.3fs  %9.0f frames/s  %6.1f allocs/frame\n",
-			c.name, best[c.name].Seconds(), float64(n)/best[c.name].Seconds(), bestAllocs[c.name])
-	}
 
 	report := Report{
 		Records:     records,
@@ -544,109 +517,77 @@ func run(out string, records, repeat, batch, procs int) error {
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		NumCPU:      runtime.NumCPU(),
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
+		OverheadPct: make(map[string]float64),
 	}
-	// An instrumented config's overhead is the ratio of best-of-repeat
-	// times. Host interference is one-sided — a neighbouring process
-	// only ever slows a run — so with enough repeats each minimum
-	// converges to the config's true cost and the ratio measures
-	// instrumentation, not noise. (Per-pass paired ratios were tried
-	// and are worse: a single 0.2s run swings several percent, and a
-	// median of few noisy ratios inherits that swing.)
-	bestOverhead := func(name, baseName string) float64 {
-		base := best[baseName].Seconds()
-		return 100 * (best[name].Seconds() - base) / base
-	}
-
+	// A layer's overhead is the ratio of best-of-repeat times. Host
+	// interference is one-sided — a neighbouring process only ever
+	// slows a run — so with enough repeats each minimum converges to
+	// the config's true cost and the ratio measures the layer, not
+	// noise. (Per-pass paired ratios were tried and are worse: a
+	// single 0.2s run swings several percent, and a median of few
+	// noisy ratios inherits that swing.)
 	seqBase := best["sequential"].Seconds()
-	var overheads, flightOverheads, faultOverheads, fleetOverheads, incidentOverheads, driftOverheads, socketOverheads []float64
+	overheads := make(map[string][]float64)
 	for _, c := range configs {
 		sec := best[c.name].Seconds()
-		totalRecords := records
-		if c.buses > 1 {
-			totalRecords = records * c.buses
-		}
-		fps := float64(totalRecords) / sec
+		fps := float64(records*max(c.l.buses, 1)) / sec
 		r := Run{
 			Name:                c.name,
+			Layer:               c.l.name,
 			Workers:             c.workers,
-			GOMAXPROCS:          runtime.GOMAXPROCS(0),
-			AllocsPerFrame:      bestAllocs[c.name],
-			Metrics:             c.metrics,
-			Flight:              c.flight,
-			Faults:              c.faults,
-			Drift:               c.drift,
-			DriftBase:           c.driftBase,
-			Socket:              c.socket,
-			Buses:               c.buses,
-			SharedPool:          c.shared,
-			Incidents:           c.incidents,
+			Buses:               c.l.buses,
 			Seconds:             sec,
 			FramesPerSec:        fps,
+			AllocsPerFrame:      bestAllocs[c.name],
 			SpeedupVsSequential: fps / (float64(records) / seqBase),
 		}
-		if c.metrics {
-			pct := bestOverhead(c.name, c.name[:len(c.name)-len("+metrics")])
+		if c.l.base != nil {
+			base := best[c.l.base.runName(c.workers)].Seconds()
+			pct := 100 * (sec - base) / base
 			r.OverheadPct = &pct
-			overheads = append(overheads, pct)
-		}
-		if c.flight {
-			pct := bestOverhead(c.name, c.name[:len(c.name)-len("+flight")])
-			r.FlightOverheadPct = &pct
-			flightOverheads = append(flightOverheads, pct)
-		}
-		if c.faults {
-			pct := bestOverhead(c.name, c.name[:len(c.name)-len("+faults")])
-			r.FaultsOverheadPct = &pct
-			faultOverheads = append(faultOverheads, pct)
-		}
-		if c.shared && !c.incidents {
-			pct := bestOverhead(c.name, "indep"+c.name[len("fleet"):])
-			r.FleetOverheadPct = &pct
-			fleetOverheads = append(fleetOverheads, pct)
-		}
-		if c.incidents {
-			pct := bestOverhead(c.name, c.name[:len(c.name)-len("+incidents")])
-			r.IncidentOverheadPct = &pct
-			incidentOverheads = append(incidentOverheads, pct)
-		}
-		if c.drift {
-			pct := bestOverhead(c.name, c.name[:len(c.name)-len("+drift")]+"+driftbase")
-			r.DriftOverheadPct = &pct
-			driftOverheads = append(driftOverheads, pct)
-		}
-		if c.socket {
-			pct := bestOverhead(c.name, c.name[:len(c.name)-len("+socket")])
-			r.SocketOverheadPct = &pct
-			socketOverheads = append(socketOverheads, pct)
+			overheads[c.l.name] = append(overheads[c.l.name], pct)
 		}
 		report.Runs = append(report.Runs, r)
+		fmt.Fprintf(os.Stderr, "replaybench: %-20s %8.3fs  %9.0f frames/s  %6.1f allocs/frame\n",
+			r.Name, sec, fps, r.AllocsPerFrame)
 	}
-	sort.Float64s(overheads)
-	report.MetricsOverheadPct = overheads[len(overheads)/2]
-	sort.Float64s(flightOverheads)
-	report.FlightOverheadPct = flightOverheads[len(flightOverheads)/2]
-	sort.Float64s(faultOverheads)
-	report.FaultsOverheadPct = faultOverheads[len(faultOverheads)/2]
-	sort.Float64s(fleetOverheads)
-	report.FleetOverheadPct = fleetOverheads[len(fleetOverheads)/2]
-	sort.Float64s(incidentOverheads)
-	report.IncidentOverheadPct = incidentOverheads[len(incidentOverheads)/2]
-	sort.Float64s(driftOverheads)
-	report.DriftOverheadPct = driftOverheads[len(driftOverheads)/2]
-	sort.Float64s(socketOverheads)
-	report.SocketOverheadPct = socketOverheads[len(socketOverheads)/2]
+	for name, pcts := range overheads {
+		sort.Float64s(pcts)
+		report.OverheadPct[name] = pcts[len(pcts)/2]
+	}
+	if err := writeReport(out, report); err != nil {
+		return err
+	}
+	for _, l := range table {
+		if l.base != nil {
+			fmt.Fprintf(os.Stderr, "replaybench: %-8s overhead %6.2f%%\n", l.name, report.OverheadPct[l.name])
+		}
+	}
+	fmt.Fprintf(os.Stderr, "replaybench: wrote %s\n", out)
+	return nil
+}
 
-	f, err := os.Create(out)
+// writeReport encodes the report into a temporary file beside out and
+// renames it into place only once it is complete, so a failed run
+// never truncates the committed baseline.
+func writeReport(out string, report Report) error {
+	f, err := os.CreateTemp(filepath.Dir(out), ".replaybench-*.json")
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer os.Remove(f.Name()) // no-op after a successful rename
+	if err := f.Chmod(0o644); err != nil {
+		f.Close()
+		return err
+	}
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(report); err != nil {
+		f.Close()
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "replaybench: median metrics overhead %.2f%%, flight overhead %.2f%%, fault-layer overhead %.2f%%, fleet overhead %.2f%%, incident overhead %.2f%%, drift overhead %.2f%%, socket overhead %.2f%% → %s\n",
-		report.MetricsOverheadPct, report.FlightOverheadPct, report.FaultsOverheadPct, report.FleetOverheadPct, report.IncidentOverheadPct, report.DriftOverheadPct, report.SocketOverheadPct, out)
-	return nil
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), out)
 }

@@ -67,12 +67,12 @@ func (s *Session) setupDrift(reg *obs.Registry, incStream *incident.BusStream) *
 	return s.driftMon
 }
 
-// observeDrift projects one verdict into the drift monitor: the
+// ObserveDrift projects one verdict into the drift monitor: the
 // best-cluster distance the voltage detector already computed, and
 // the alarm threshold for the frame's expected sender. Pure
 // observation — one sketch insert per scored frame, nothing written
 // back, so verdicts stay bit-identical with the layer on.
-func observeDrift(mon *drift.Monitor, store *ModelStore, r pipeline.Result) {
+func ObserveDrift(mon *drift.Monitor, store *ModelStore, r pipeline.Result) {
 	v := r.Verdict
 	if v.ExtractErr != nil || v.Voltage.Expected < 0 || v.Voltage.Predict < 0 {
 		// Unscored frames (failed extraction, unknown SA) carry no

@@ -74,10 +74,10 @@ func (s *Session) setupIncidents(reg *obs.Registry) *incident.BusStream {
 	return stream
 }
 
-// incidentEvidence translates one pipeline verdict into the
+// IncidentEvidence translates one pipeline verdict into the
 // correlator's evidence shape. Pure projection — reading it cannot
 // perturb the verdict stream.
-func incidentEvidence(r pipeline.Result) incident.Evidence {
+func IncidentEvidence(r pipeline.Result) incident.Evidence {
 	v := r.Verdict
 	return incident.Evidence{
 		SA:         uint8(r.Frame.SA()),

@@ -549,7 +549,7 @@ func (s *Session) Run(sink Sink) (Summary, error) {
 		// standing drift on every alarm anyway).
 		mon, store, inner := driftMon, s.store, pfn
 		pfn = func(r pipeline.Result) error {
-			observeDrift(mon, store, r)
+			ObserveDrift(mon, store, r)
 			if inner != nil {
 				return inner(r)
 			}
@@ -563,7 +563,7 @@ func (s *Session) Run(sink Sink) (Summary, error) {
 		// consumer in their own right.
 		stream, inner := incStream, pfn
 		pfn = func(r pipeline.Result) error {
-			stream.Observe(incidentEvidence(r))
+			stream.Observe(IncidentEvidence(r))
 			if inner != nil {
 				return inner(r)
 			}
