@@ -34,6 +34,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzReaderResync$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace
 	$(GO) test -fuzz '^FuzzEdgeExtract$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/edgeset
 	$(GO) test -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/core
+	$(GO) test -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/control
 
 # bench-replay runs every configuration of the replay benchmark's
 # layer table (cmd/replaybench) as a Go sub-benchmark on a 10k-record

@@ -55,44 +55,12 @@ func run(fl *engine.Flags, timeline bool) error {
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "busmon: "+format+"\n", args...)
 	}
-	opts := append(fl.Options(), engine.WithLogf(logf))
-	captures := strings.Split(fl.Capture, ",")
-	if len(captures) == 1 {
-		return runSingle(captures[0], fl, timeline, opts)
-	}
-	return runFleet(captures, fl, timeline, opts)
-}
-
-func runSingle(capture string, fl *engine.Flags, timeline bool, opts []engine.Option) error {
-	s := engine.NewSession(capture, opts...)
-	t := engine.NewTally()
-	sum, err := s.Run(func(res engine.Result) error {
-		for _, e := range t.Observe(res.Result) {
-			if timeline {
-				fmt.Println(timelineLine(e))
-			}
-			if err := s.EmitEvent(e); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	fleet, err := engine.NewFleet(strings.Split(fl.Capture, ","), append(fl.Options(), engine.WithLogf(logf))...)
 	if err != nil {
 		return err
 	}
-	printSummary(sum, t, fl)
-	if fl.Incidents {
-		fmt.Println()
-		fmt.Print(incident.FormatTable(sum.Incidents))
-	}
-	return nil
-}
-
-func runFleet(captures []string, fl *engine.Flags, timeline bool, opts []engine.Option) error {
-	fleet, err := engine.NewFleet(captures, opts...)
-	if err != nil {
-		return err
-	}
+	// Bus headers and timeline tags only tell several buses apart.
+	multi := len(fleet.Buses()) > 1
 	tallies := map[string]*engine.Tally{}
 	for _, bus := range fleet.Buses() {
 		tallies[bus] = engine.NewTally()
@@ -101,7 +69,11 @@ func runFleet(captures []string, fl *engine.Flags, timeline bool, opts []engine.
 		for _, e := range tallies[res.Bus].Observe(res.Result) {
 			e.Bus = res.Bus
 			if timeline {
-				fmt.Printf("[%s] %s\n", res.Bus, timelineLine(e))
+				line := timelineLine(e)
+				if multi {
+					line = "[" + res.Bus + "] " + line
+				}
+				fmt.Println(line)
 			}
 			if err := fleet.EmitEvent(e); err != nil {
 				return err
@@ -109,11 +81,21 @@ func runFleet(captures []string, fl *engine.Flags, timeline bool, opts []engine.
 		}
 		return nil
 	})
-	for i, sum := range sums {
-		if i > 0 {
-			fmt.Println()
+	if err != nil && !multi {
+		// A lone failed bus has no healthy neighbour to summarise:
+		// report its own error.
+		if len(sums) == 1 {
+			err = sums[0].Err
 		}
-		fmt.Printf("== bus %s ==\n", sum.Bus)
+		return err
+	}
+	for i, sum := range sums {
+		if multi {
+			if i > 0 {
+				fmt.Println()
+			}
+			fmt.Printf("== bus %s ==\n", sum.Bus)
+		}
 		if sum.Err != nil {
 			fmt.Printf("replay failed: %v\n", sum.Err)
 			// Fall through: the partial tally and stats still describe
@@ -123,7 +105,9 @@ func runFleet(captures []string, fl *engine.Flags, timeline bool, opts []engine.
 	}
 	if fl.Incidents {
 		fmt.Println()
-		fmt.Println("== fleet incidents ==")
+		if multi {
+			fmt.Println("== fleet incidents ==")
+		}
 		fmt.Print(incident.FormatTable(fleet.Incidents()))
 	}
 	return err

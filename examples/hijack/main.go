@@ -1,9 +1,8 @@
-// Hijack detection with the streaming IDS: a continuous digitizer
-// stream carries normal traffic interleaved with frames from a
-// compromised body controller that forges the engine ECU's source
-// address (the Miller-Valasek threat the paper's introduction
-// motivates). The IDS segments the stream, fingerprints every frame,
-// and names the true origin of each attack.
+// Hijack detection with the composite IDS: normal traffic interleaved
+// with frames from a compromised body controller that forges the
+// engine ECU's source address (the Miller-Valasek threat the paper's
+// introduction motivates). The IDS fingerprints every frame's
+// digitized trace and names the true origin of each attack.
 //
 //	go run ./examples/hijack
 package main
@@ -43,19 +42,20 @@ func main() {
 		log.Fatal(err)
 	}
 
-	det, err := ids.New(model, ids.Config{Extraction: cfg})
+	mon, err := ids.NewComposite(model, ids.CompositeConfig{Extraction: cfg})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// Build a live bus stream: mostly legitimate frames, but every
-	// sixth frame the body controller (ECU 3) transmits under the
-	// engine ECU's SA 0x00 with forged payloads.
+	// A live bus: mostly legitimate frames, but every sixth frame the
+	// body controller (ECU 3) transmits under the engine ECU's SA 0x00
+	// with forged payloads. Each frame reaches the IDS as its own
+	// digitized trace, the way a capture record carries it.
 	rng := rand.New(rand.NewSource(11))
 	synth := analog.SynthConfig{ADC: v.ADC, BitRate: v.BitRate, LeadIdleBits: 4}
-	var stream analog.Trace
-	attacks := 0
-	for i := 0; i < 30; i++ {
+	const frames = 30
+	attacks, caught := 0, 0
+	for i := 0; i < frames; i++ {
 		ecu := v.ECUs[i%len(v.ECUs)]
 		id := ecu.Messages[0].ID
 		if i%6 == 5 {
@@ -73,44 +73,22 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		stream = append(stream, tr...)
-	}
-	idle := make(analog.Trace, 20*cfg.BitWidth)
-	rec := v.ADC.VoltsToCode(0.015)
-	for i := range idle {
-		idle[i] = rec
-	}
-	stream = append(stream, idle...)
-
-	// Feed the stream in digitizer-sized chunks.
-	caught := 0
-	for off := 0; off < len(stream); off += 4096 {
-		end := off + 4096
-		if end > len(stream) {
-			end = len(stream)
+		r := mon.Process(frame, tr, float64(i)*0.01)
+		if !r.Anomalous() {
+			continue
 		}
-		results, err := det.Push(stream[off:end])
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, r := range results {
-			if !r.Anomalous() {
-				continue
+		caught++
+		origin := "unknown"
+		if r.Voltage.Predict >= 0 {
+			c, err := model.Cluster(r.Voltage.Predict)
+			if err == nil {
+				origin = fmt.Sprintf("cluster %d (SAs %v)", c.ID, c.SAs)
 			}
-			caught++
-			origin := "unknown"
-			if r.Detection.Predict >= 0 {
-				c, err := model.Cluster(r.Detection.Predict)
-				if err == nil {
-					origin = fmt.Sprintf("cluster %d (SAs %v)", c.ID, c.SAs)
-				}
-			}
-			fmt.Printf("ALARM at sample %d: SA %#02x, reason %s, true origin %s\n",
-				r.SOFIndex, uint8(r.SA), r.Detection.Reason, origin)
 		}
+		fmt.Printf("ALARM at frame %d: SA %#02x, reason %s, true origin %s\n",
+			i, uint8(frame.SA()), r.Voltage.Reason, origin)
 	}
-	st := det.Stats()
-	fmt.Printf("\nprocessed %d frames, %d injected attacks, %d alarms\n", st.Frames, attacks, caught)
+	fmt.Printf("\nprocessed %d frames, %d injected attacks, %d alarms\n", frames, attacks, caught)
 	if caught == attacks {
 		fmt.Println("every hijacked frame was identified — and attributed to the compromised ECU")
 	}

@@ -481,11 +481,12 @@ func (d *Daemon) startBus(spec controlapi.BusSpec) (*busRun, error) {
 		spec: spec, state: controlapi.BusWaiting, loopDone: make(chan struct{}),
 	}
 	bus := spec.Bus
+	// The store lives exactly as long as the bus, so its listener is
+	// never removed.
 	store.OnSwap(func(sm engine.StoredModel) {
-		d.publish(obs.Event{
-			Kind: obs.EventModelSwap, Bus: bus, Severity: obs.SeverityInfo,
-			Detail: fmt.Sprintf("model version %d", sm.Version),
-		})
+		e := engine.ModelSwapEvent(sm)
+		e.Bus = bus
+		d.publish(e)
 	})
 	switch scheme {
 	case controlapi.SchemeUDP:
@@ -653,7 +654,6 @@ func (b *busRun) sessionOptions(src *engine.StreamSource) []engine.Option {
 	}
 	if spec.Drift {
 		opts = append(opts, engine.WithDriftConfig(drift.Config{
-			Bus:  bus,
 			Emit: func(e obs.Event) { d.publish(e) },
 		}))
 	}

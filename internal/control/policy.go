@@ -127,14 +127,14 @@ func ParsePolicy(name string, data []byte) (*Policy, error) {
 					p.Alarms.Events = bindString(e, a.child(k), "alarms.events")
 				case "buffer":
 					p.Alarms.Buffer = bindInt(e, a.child(k), "alarms.buffer")
+					if p.Alarms.Buffer < 0 {
+						e.add(a.children[k].line, "alarms.buffer", "must be >= 0, got %d", p.Alarms.Buffer)
+					}
 				default:
 					e.add(a.children[k].line, "alarms."+k, "unknown key (events, buffer)")
 				}
 			}
 		}
-	}
-	if p.Alarms.Buffer < 0 {
-		e.add(0, "alarms.buffer", "must be >= 0, got %d", p.Alarms.Buffer)
 	}
 
 	var defaults controlapi.BusSpec
@@ -148,12 +148,19 @@ func ParsePolicy(name string, data []byte) (*Policy, error) {
 		}
 	}
 
+	// Duplicate listen addresses cannot both bind; catch it at
+	// validation time.
+	byListen := map[string]string{}
 	buses := root.child("buses")
-	if buses == nil || len(buses.keys) == 0 {
-		e.add(root.line, "buses", "at least one bus is required")
-	} else if buses.isScalar {
+	switch {
+	case buses == nil:
+		// Nothing to point at: blame the top of the file.
+		e.add(1, "buses", "at least one bus is required")
+	case buses.isScalar:
 		e.add(buses.line, "buses", "expected a map of bus name -> settings")
-	} else {
+	case len(buses.keys) == 0:
+		e.add(buses.line, "buses", "at least one bus is required")
+	default:
 		for _, busName := range buses.keys {
 			bn := buses.children[busName]
 			path := "buses." + busName
@@ -175,20 +182,16 @@ func ParsePolicy(name string, data []byte) (*Policy, error) {
 				e.add(bn.line, path+".model", "required")
 			}
 			validateSpec(e, bn.line, path, &spec, p.Dir)
+			if prev, dup := byListen[spec.Listen]; dup && spec.Listen != "" {
+				line := bn.line
+				if l := bn.child("listen"); l != nil {
+					line = l.line
+				}
+				e.add(line, path+".listen", "duplicate listen address %q (also used by buses.%s)", spec.Listen, prev)
+			}
+			byListen[spec.Listen] = busName
 			p.Buses = append(p.Buses, spec)
 		}
-	}
-	// Duplicate listen addresses cannot both bind; catch it at
-	// validation time.
-	byListen := map[string]string{}
-	for _, b := range p.Buses {
-		if b.Listen == "" {
-			continue
-		}
-		if prev, dup := byListen[b.Listen]; dup {
-			e.add(0, "buses."+b.Bus+".listen", "duplicate listen address %q (also used by buses.%s)", b.Listen, prev)
-		}
-		byListen[b.Listen] = b.Bus
 	}
 	if err := e.err(); err != nil {
 		return nil, err

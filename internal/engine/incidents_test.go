@@ -259,26 +259,28 @@ func TestIncidentsDoNotPerturbVerdicts(t *testing.T) {
 	}
 }
 
-// TestSessionIncidents runs a standalone (non-fleet) session with the
-// incident layer: the attack shows up as a single-bus incident in
-// Summary.Incidents.
+// TestSessionIncidents runs a single capture with the incident layer:
+// the attack shows up as a single-bus incident filed under the
+// capture's bus name.
 func TestSessionIncidents(t *testing.T) {
 	m := sharedModel(t)
 	dir := t.TempDir()
 	path := writeFile(t, filepath.Join(dir, "solo.vptr"), buildCapture(t, 201, 700, 250))
-	s := engine.NewSession(path,
+	fleet, err := engine.NewFleet([]string{path},
 		engine.WithModel(m),
 		engine.WithIncidentConfig(incident.Config{QuietSec: 1000}))
-	sum, err := s.Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sum.Incidents) == 0 {
-		t.Fatal("standalone session recorded no incidents over an attacked capture")
+	if _, err := fleet.Run(nil); err != nil {
+		t.Fatal(err)
 	}
-	for _, in := range sum.Incidents {
+	if len(fleet.Incidents()) == 0 {
+		t.Fatal("single-capture run recorded no incidents over an attacked capture")
+	}
+	for _, in := range fleet.Incidents() {
 		if in.Scope != incident.ScopeSingleBus {
-			t.Fatalf("standalone session produced a %s incident", in.Scope)
+			t.Fatalf("single-capture run produced a %s incident", in.Scope)
 		}
 		if got := in.BusNames(); len(got) != 1 || got[0] != "solo" {
 			t.Fatalf("incident bus = %v, want [solo]", got)

@@ -2,20 +2,23 @@
 // used to hand-wire: source opening (plain/gzip, optional corruption
 // recovery), the composite IDS, the concurrent replay pipeline,
 // observability (metrics registry, event log, HTTP endpoint, flight
-// recorder) and graceful shutdown. A Session is one bus; a Fleet runs
-// several sessions concurrently over one shared worker pool; a
-// ModelStore hot-swaps the detection model under both without a
-// restart.
+// recorder) and graceful shutdown. A Session is one bus's work; a
+// Fleet runs one or more sessions concurrently and owns everything
+// they share (worker pool, event log, correlator, drift monitors,
+// metrics endpoint); a ModelStore hot-swaps the detection model under
+// both without a restart.
 package engine
 
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"vprofile/internal/core"
+	"vprofile/internal/obs"
 )
 
 // LoadModelFile reads a trained vProfile model from disk — the one
@@ -40,12 +43,17 @@ type StoredModel struct {
 	Version int
 }
 
-// modelSwapDetail renders the model_swap event detail. Version alone
-// is not interpretable when reading drift baselines against swap
-// events, so the model's shape rides along.
-func modelSwapDetail(sm StoredModel) string {
-	return fmt.Sprintf("model version %d (dim %d, %d clusters, margin %g)",
-		sm.Version, sm.Model.Dim, len(sm.Model.Clusters), sm.Model.Margin)
+// ModelSwapEvent is the model_swap event announcing a newly published
+// generation — the one shape batch replay and the daemon both emit.
+// Version alone is not interpretable when reading drift baselines
+// against swap events, so the model's shape rides along. Callers stamp
+// the time and the bus.
+func ModelSwapEvent(sm StoredModel) obs.Event {
+	return obs.Event{
+		Kind: obs.EventModelSwap, Severity: obs.SeverityInfo,
+		Detail: fmt.Sprintf("model version %d (dim %d, %d clusters, margin %g)",
+			sm.Version, sm.Model.Dim, len(sm.Model.Clusters), sm.Model.Margin),
+	}
 }
 
 // ModelStore is an atomic hot-swap holder for the detection model. It
@@ -63,7 +71,7 @@ type ModelStore struct {
 	cur atomic.Pointer[StoredModel]
 
 	mu        sync.Mutex // serialises swaps and listener registration
-	listeners []func(StoredModel)
+	listeners []*func(StoredModel)
 }
 
 // NewModelStore holds the initial model as version 1. The store never
@@ -104,7 +112,7 @@ func (s *ModelStore) Swap(m *core.Model) (int, error) {
 	next := StoredModel{Model: m, Version: old.Version + 1}
 	s.cur.Store(&next)
 	for _, fn := range s.listeners {
-		fn(next)
+		(*fn)(next)
 	}
 	return next.Version, nil
 }
@@ -119,12 +127,22 @@ func (s *ModelStore) SwapFile(path string) (int, error) {
 }
 
 // OnSwap registers a listener called (under the swap lock, in
-// registration order) after each successful swap — sessions use it to
-// publish the version gauge and the model_swap event.
-func (s *ModelStore) OnSwap(fn func(StoredModel)) {
+// registration order) after each successful swap — a fleet uses it to
+// move version gauges, reset drift baselines and emit model_swap. The
+// returned func removes the listener; a run calls it when it ends, so
+// a long-lived store does not pin every finished run's state.
+func (s *ModelStore) OnSwap(fn func(StoredModel)) (remove func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.listeners = append(s.listeners, fn)
+	l := &fn
+	s.listeners = append(s.listeners, l)
+	return func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if i := slices.Index(s.listeners, l); i >= 0 {
+			s.listeners = slices.Delete(s.listeners, i, i+1)
+		}
+	}
 }
 
 // Watch polls path every interval and swaps the model in whenever the

@@ -96,10 +96,6 @@ type Summary struct {
 	// ModelSwaps counts hot swaps observed during it.
 	ModelVersion int
 	ModelSwaps   int
-	// Incidents is the incident history of a standalone session that
-	// ran with WithIncidents (nil otherwise; fleet members report
-	// through Fleet.Incidents instead).
-	Incidents []incident.Snapshot
 	// Drift is the end-of-run drift-detector snapshot (nil when the
 	// drift layer is off).
 	Drift *drift.Snapshot
@@ -107,73 +103,151 @@ type Summary struct {
 	// stream sources; nil for files and lossless sockets.
 	Gaps *trace.GapStats
 	// Live is true on a mid-stream Snapshot — the replay is still
-	// running and end-of-run-only fields (SilentStreams, Incidents,
-	// Flight) are not populated yet.
+	// running and end-of-run-only fields (SilentStreams, Flight) are
+	// not populated yet.
 	Live bool
-	// Err is the session's replay error — populated on fleet runs,
-	// where one bus's failure must not hide the others' summaries.
+	// Err is the bus's replay error. A fleet reports it per bus, so
+	// one bus's failure does not hide the others' summaries.
 	Err error
 }
 
-// Session is one capture→verdict run: it owns opening the source,
-// building the composite IDS, wiring observability and running the
-// concurrent replay. Build with NewSession + options, run once with
-// Run. The zero value is not usable.
-type Session struct {
-	capture string
-	name    string
-	// source, when set, replaces opening the capture file: the session
-	// streams records from it instead (live ingestion).
-	source *StreamSource
-
+// config is what the options set. The fleet-wide half (model, store,
+// workers, metrics, event log, incidents, drift, model watch, logf)
+// configures the Fleet that runs a replay; the per-bus half (name,
+// source, batch, flight recording, quarantine, recovery, stall
+// timeout) configures each of its sessions.
+type config struct {
 	model     *core.Model
 	modelPath string
 	store     *ModelStore
-	ownStore  bool
+	workers   int
 
-	workers int
-	batch   int
-	pool    *pipeline.Pool
+	metricsAddr string
+	eventsPath  string
+	maxEvents   int
+	incidents   bool
+	incCfg      *incident.Config
+	drift       bool
+	driftCfg    *drift.Config
+	watch       time.Duration
+	logf        func(format string, args ...any)
 
-	metricsAddr  string
-	registry     *obs.Registry
-	events       *obs.EventLog
-	ownEvents    bool
-	eventsPath   string
+	name         string
+	source       *StreamSource
+	batch        int
 	flightDir    string
 	flightWindow int
+	quarantine   bool
+	quarCfg      *ids.QuarantineConfig
+	recovery     bool
+	stall        time.Duration
+}
 
-	quarantine bool
-	quarCfg    *ids.QuarantineConfig
-	recovery   bool
-	stall      time.Duration
-	watch      time.Duration
+func newConfig(opts []Option) config {
+	c := config{flightWindow: 8}
+	for _, o := range opts {
+		o(&c)
+	}
+	return c
+}
 
-	// Incident-layer state (see incidents.go): incidents turns the
-	// layer on, incCfg optionally tunes it, inc is the correlator (a
-	// fleet injects a shared one; a standalone session builds and
-	// closes its own — ownInc), maxEvents caps an owned event log.
-	incidents bool
-	incCfg    *incident.Config
-	inc       *incident.Correlator
-	ownInc    bool
-	maxEvents int
+// Option configures a Session, or every session of a Fleet.
+type Option func(*config)
 
-	// Drift-layer state (see drift.go): drift turns the layer on,
-	// driftCfg optionally tunes the detectors, driftMon is the monitor
-	// (a fleet injects a shared-lifecycle one per bus; a standalone
-	// session builds its own — ownDrift).
-	drift    bool
-	driftCfg *drift.Config
-	driftMon *drift.Monitor
-	ownDrift bool
+// WithName tags the session's results, events and metrics with a bus
+// name. Fleets derive names from capture filenames automatically.
+func WithName(name string) Option { return func(c *config) { c.name = name } }
 
-	logf func(format string, args ...any)
+// WithModelPath lazily loads the model from disk (LoadModelFile).
+func WithModelPath(path string) Option { return func(c *config) { c.modelPath = path } }
 
-	// live is the state a mid-stream Snapshot reads while Run is in
-	// flight: everything in it is either immutable after Run's setup
-	// (src, store, startVersion), internally synchronised
-	// (pipeline.Replayer.Stats, drift.Monitor.Status,
+// WithModel supplies an already-loaded model.
+func WithModel(m *core.Model) Option { return func(c *config) { c.model = m } }
+
+// WithStore runs the replay against an externally-owned hot-swap
+// store (shared across feeds or fleets). The replay then neither
+// creates a store, announces its swaps nor drives -model-watch.
+func WithStore(st *ModelStore) Option { return func(c *config) { c.store = st } }
+
+// WithWorkers sets the extraction pool size (0 = GOMAXPROCS).
+func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
+
+// WithBatch sets the records-per-batch granularity of the replay
+// pipeline (0 = pipeline.DefaultBatch, 1 = per-record handoff).
+// Verdicts are identical at every batch size.
+func WithBatch(n int) Option { return func(c *config) { c.batch = n } }
+
+// WithMetricsAddr serves /metrics, /metrics.json, /debug/pprof/ (and
+// /debug/flight, /fleet and /drift when those layers are on) for the
+// replay's duration.
+func WithMetricsAddr(addr string) Option { return func(c *config) { c.metricsAddr = addr } }
+
+// WithEventsPath writes a JSONL event log (plus end-of-run stats
+// snapshots) to path.
+func WithEventsPath(path string) Option { return func(c *config) { c.eventsPath = path } }
+
+// WithFlightRecorder traces every frame and freezes forensic bundles
+// around alarms into dir, with window frames of pre/post context. A
+// fleet of several buses writes each bus's bundles under dir/<bus>.
+func WithFlightRecorder(dir string, window int) Option {
+	return func(c *config) { c.flightDir, c.flightWindow = dir, window }
+}
+
+// WithQuarantine enables the per-SA degradation state machine.
+func WithQuarantine(on bool) Option { return func(c *config) { c.quarantine = on } }
+
+// WithQuarantineConfig enables quarantine with explicit thresholds
+// (the fleet policy's per-bus tuning); zero fields take the defaults.
+func WithQuarantineConfig(cfg ids.QuarantineConfig) Option {
+	return func(c *config) { c.quarantine, c.quarCfg = true, &cfg }
+}
+
+// WithSource streams records from an already-attached source instead
+// of opening a capture file — the daemon's live-ingestion path. The
+// session takes ownership (Run closes it). Fleets ignore it.
+func WithSource(src *StreamSource) Option { return func(c *config) { c.source = src } }
+
+// WithRecovery tolerates capture corruption: the reader resyncs past
+// damaged records instead of aborting.
+func WithRecovery(on bool) Option { return func(c *config) { c.recovery = on } }
+
+// WithStallTimeout arms the slow-sink watchdog (0 disables).
+func WithStallTimeout(d time.Duration) Option { return func(c *config) { c.stall = d } }
+
+// WithModelWatch polls the model file every interval and hot-swaps
+// the model when it changes (0 disables). Requires WithModelPath; it
+// is ignored with WithStore.
+func WithModelWatch(interval time.Duration) Option { return func(c *config) { c.watch = interval } }
+
+// WithLogf routes the replay's informational messages (serving
+// addresses, model swaps); nil silences them.
+func WithLogf(fn func(format string, args ...any)) Option { return func(c *config) { c.logf = fn } }
+
+// Session is one bus's capture→verdict run: it opens the source and
+// builds the bus's composite IDS, flight recorder, sink chain and
+// replay pipeline. Everything shared across buses — model store,
+// worker pool, metrics endpoint, event log, incident correlator, drift
+// monitors — belongs to the Fleet that runs it; Run runs a standalone
+// session as a one-bus fleet. Build with NewSession + options, run
+// once with Run. The zero value is not usable.
+type Session struct {
+	capture string
+	config
+
+	// The fleet running the session sets these before Run streams:
+	// the bus's metrics registry (nil without a metrics endpoint or
+	// event log), the shared event log, and the bus's incident stream
+	// and drift monitor (nil when those layers are off).
+	reg       *obs.Registry
+	events    *obs.EventLog
+	incStream *incident.BusStream
+	driftMon  *drift.Monitor
+
+	// live is the state a mid-stream Snapshot (and the fleet's
+	// /debug/flight route) reads while Run is in flight: everything in
+	// it is either immutable after Run's setup (src, store,
+	// startVersion, recorder), internally synchronised
+	// (pipeline.Replayer.Stats, tracing.Recorder,
 	// trace.Reader.Corruptions), or written exactly once at the end
 	// (final). degraded is kept separately by the sink wrapper so the
 	// snapshot never touches the composite's unsynchronised quarantine
@@ -182,7 +256,7 @@ type Session struct {
 		mu           sync.Mutex
 		src          *StreamSource
 		rep          *pipeline.Replayer
-		driftMon     *drift.Monitor
+		recorder     *tracing.Recorder
 		store        *ModelStore
 		startVersion int
 		started      bool
@@ -192,102 +266,14 @@ type Session struct {
 	degraded atomic.Int64
 }
 
-// Option configures a Session (and, via NewFleet, every session of a
-// fleet).
-type Option func(*Session)
-
-// WithName tags the session's results, events and metrics with a bus
-// name. Fleets derive names from capture filenames automatically.
-func WithName(name string) Option { return func(s *Session) { s.name = name } }
-
-// WithModelPath lazily loads the model from disk (LoadModelFile).
-func WithModelPath(path string) Option { return func(s *Session) { s.modelPath = path } }
-
-// WithModel supplies an already-loaded model.
-func WithModel(m *core.Model) Option { return func(s *Session) { s.model = m } }
-
-// WithStore runs the session against an externally-owned hot-swap
-// store (shared across a fleet). The session then neither creates a
-// store nor drives -model-watch itself.
-func WithStore(st *ModelStore) Option { return func(s *Session) { s.store = st } }
-
-// WithWorkers sets the extraction pool size (0 = GOMAXPROCS).
-func WithWorkers(n int) Option { return func(s *Session) { s.workers = n } }
-
-// WithBatch sets the records-per-batch granularity of the replay
-// pipeline (0 = pipeline.DefaultBatch, 1 = per-record handoff).
-// Verdicts are identical at every batch size.
-func WithBatch(n int) Option { return func(s *Session) { s.batch = n } }
-
-// WithPool runs the hot path on a shared worker pool instead of a
-// private one; the pool must outlive the session.
-func WithPool(p *pipeline.Pool) Option { return func(s *Session) { s.pool = p } }
-
-// WithMetricsAddr serves /metrics, /metrics.json, /debug/pprof/ (and
-// /debug/flight when flight recording) for the replay's duration.
-func WithMetricsAddr(addr string) Option { return func(s *Session) { s.metricsAddr = addr } }
-
-// WithRegistry mounts the session's instruments on an external
-// registry (a fleet's per-bus group member) instead of a private one.
-func WithRegistry(reg *obs.Registry) Option { return func(s *Session) { s.registry = reg } }
-
-// WithEventsPath writes a JSONL event log (plus an end-of-run stats
-// snapshot) to path.
-func WithEventsPath(path string) Option { return func(s *Session) { s.eventsPath = path } }
-
-// WithEventLog emits events to an externally-owned log (a fleet's
-// shared log). The session tags its records with its bus name and
-// does not close the log.
-func WithEventLog(l *obs.EventLog) Option { return func(s *Session) { s.events = l } }
-
-// WithFlightRecorder traces every frame and freezes forensic bundles
-// around alarms into dir, with window frames of pre/post context.
-func WithFlightRecorder(dir string, window int) Option {
-	return func(s *Session) { s.flightDir, s.flightWindow = dir, window }
-}
-
-// WithQuarantine enables the per-SA degradation state machine.
-func WithQuarantine(on bool) Option { return func(s *Session) { s.quarantine = on } }
-
-// WithQuarantineConfig enables quarantine with explicit thresholds
-// (the fleet policy's per-bus tuning); zero fields take the defaults.
-func WithQuarantineConfig(cfg ids.QuarantineConfig) Option {
-	return func(s *Session) { s.quarantine, s.quarCfg = true, &cfg }
-}
-
-// WithSource streams records from an already-attached source instead
-// of opening a capture file — the daemon's live-ingestion path. The
-// session takes ownership (Run closes it).
-func WithSource(src *StreamSource) Option { return func(s *Session) { s.source = src } }
-
-// WithRecovery tolerates capture corruption: the reader resyncs past
-// damaged records instead of aborting.
-func WithRecovery(on bool) Option { return func(s *Session) { s.recovery = on } }
-
-// WithStallTimeout arms the slow-sink watchdog (0 disables).
-func WithStallTimeout(d time.Duration) Option { return func(s *Session) { s.stall = d } }
-
-// WithModelWatch polls the model file every interval and hot-swaps
-// the model when it changes (0 disables). Requires WithModelPath and
-// a session-owned store.
-func WithModelWatch(interval time.Duration) Option { return func(s *Session) { s.watch = interval } }
-
-// WithLogf routes the session's informational messages (serving
-// addresses, model swaps); nil silences them.
-func WithLogf(fn func(format string, args ...any)) Option { return func(s *Session) { s.logf = fn } }
-
 // NewSession builds a session over one capture file.
 func NewSession(capture string, opts ...Option) *Session {
-	s := &Session{capture: capture, flightWindow: 8}
-	for _, o := range opts {
-		o(s)
-	}
-	return s
+	return &Session{capture: capture, config: newConfig(opts)}
 }
 
-// EmitEvent appends one event to the session's log, tagged with the
-// session's bus name. It is a no-op (nil) without an event log. Call
-// it from the Run sink — the log exists for exactly that window.
+// EmitEvent appends one event to the replay's event log, tagged with
+// the session's bus name. It is a no-op (nil) without an event log.
+// Call it from the Run sink — the log exists for exactly that window.
 func (s *Session) EmitEvent(e obs.Event) error {
 	if s.events == nil {
 		return nil
@@ -298,46 +284,29 @@ func (s *Session) EmitEvent(e obs.Event) error {
 	return s.events.Emit(e)
 }
 
-// resolveStore produces the session's model provider, loading the
-// model from disk when only a path was given.
-func (s *Session) resolveStore() error {
-	if s.store != nil {
-		return nil
-	}
-	m := s.model
-	if m == nil {
-		if s.modelPath == "" {
-			return errors.New("engine: session needs a model (WithModel, WithModelPath or WithStore)")
-		}
-		var err error
-		m, err = LoadModelFile(s.modelPath)
-		if err != nil {
-			return err
-		}
-	}
-	st, err := NewModelStore(m)
+// Run replays the capture to completion (or first error), delivering
+// verdicts to sink in record order, as a one-bus fleet. It may be
+// called once; the returned Summary is valid even on error (with the
+// fields reached so far). Mid-stream death (stall watchdog,
+// unrecovered corruption) comes back wrapped in *AbortError.
+func (s *Session) Run(sink Sink) (Summary, error) {
+	f, err := newFleet(s.config, []*Session{s})
 	if err != nil {
-		return err
+		return Summary{Bus: s.name, Capture: s.capture}, err
 	}
-	s.store, s.ownStore = st, true
-	return nil
+	sums, err := f.Run(sink)
+	if len(sums) == 0 {
+		return Summary{Bus: s.name, Capture: s.capture}, err
+	}
+	return sums[0], sums[0].Err
 }
 
-// Run replays the capture to completion (or first error), delivering
-// verdicts to sink in record order. It may be called once; the
-// returned Summary is valid even on error (with the fields reached so
-// far). Mid-stream death (stall watchdog, unrecovered corruption)
-// comes back wrapped in *AbortError.
-func (s *Session) Run(sink Sink) (Summary, error) {
-	logf := s.logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
+// run is the session's per-bus work inside its fleet's Run: open the
+// source, build the composite, flight recorder and sink chain, and
+// replay through the fleet's worker pool.
+func (s *Session) run(f *Fleet, sink Sink) (Summary, error) {
 	sum := Summary{Bus: s.name, Capture: s.capture}
-	if err := s.resolveStore(); err != nil {
-		return sum, err
-	}
-	startVersion := s.store.Version()
+	startVersion := f.store.Version()
 
 	var err error
 	rd := s.source
@@ -359,7 +328,7 @@ func (s *Session) Run(sink Sink) (Summary, error) {
 
 	s.live.mu.Lock()
 	s.live.src = rd
-	s.live.store = s.store
+	s.live.store = f.store
 	s.live.startVersion = startVersion
 	s.live.started = true
 	if s.live.stopEarly {
@@ -368,50 +337,23 @@ func (s *Session) Run(sink Sink) (Summary, error) {
 	}
 	s.live.mu.Unlock()
 
-	// Observability: one registry feeds the live HTTP endpoint, the
-	// instrumented pipeline/detector stack, and the end-of-run
-	// snapshot in the event log. A fleet injects the registry (a group
-	// member) and the shared event log; a standalone session owns both.
-	reg := s.registry
-	wantObs := s.metricsAddr != "" || s.eventsPath != "" || s.events != nil || s.incidents || s.drift
-	if reg == nil && wantObs {
-		reg = obs.NewRegistry()
-	}
 	var pm *pipeline.Metrics
 	var im *ids.Metrics
-	if reg != nil {
-		pm = pipeline.NewMetrics(reg)
-		im = ids.NewMetrics(reg)
-		rd.SetMetrics(trace.NewMetrics(reg))
-	}
-	if s.events == nil && s.eventsPath != "" {
-		s.events, err = obs.CreateEventLog(s.eventsPath)
-		if err != nil {
-			return sum, err
-		}
-		s.ownEvents = true
-		if s.maxEvents > 0 {
-			s.events.SetMaxEvents(s.maxEvents)
-		}
-	}
-	incStream := s.setupIncidents(reg)
-	driftMon := s.setupDrift(reg, incStream)
-	if driftMon != nil {
-		s.live.mu.Lock()
-		s.live.driftMon = driftMon
-		s.live.mu.Unlock()
+	if s.reg != nil {
+		pm = pipeline.NewMetrics(s.reg)
+		im = ids.NewMetrics(s.reg)
+		rd.SetMetrics(trace.NewMetrics(s.reg))
 	}
 	var recorder *tracing.Recorder
 	if s.flightDir != "" {
 		rcfg := tracing.RecorderConfig{
 			Window: s.flightWindow, Dir: s.flightDir, Header: h, Events: s.events,
 		}
-		if incStream != nil {
+		if stream := s.incStream; stream != nil {
 			// Stamp each finished bundle with the incident that was open
 			// for its (bus, SA) — and file the bundle as incident
 			// evidence — before it hits disk, so bundle.json carries the
 			// join key.
-			stream := incStream
 			rcfg.Tag = func(b *tracing.Bundle) {
 				b.Incident = stream.LinkBundle(b.SA, b.DirName())
 			}
@@ -420,92 +362,23 @@ func (s *Session) Run(sink Sink) (Summary, error) {
 		if err != nil {
 			return sum, err
 		}
-	}
-	if s.metricsAddr != "" {
-		var routes []obs.Route
-		if recorder != nil {
-			routes = append(routes, obs.Route{Pattern: "/debug/flight", Handler: recorder})
-		}
-		var exp obs.Exporter = reg
-		if reg != nil {
-			// Self-telemetry refreshes at scrape time, on the same
-			// registry the replay instruments.
-			rs := obs.NewRuntimeStats(reg)
-			exp = obs.CollectedExporter(reg, rs.Collect)
-		}
-		if s.ownInc {
-			routes = append(routes, s.inc.Routes()...)
-		}
-		if driftMon != nil {
-			routes = append(routes, driftMon.Route())
-		}
-		srv, err := obs.Serve(s.metricsAddr, exp, routes...)
-		if err != nil {
-			return sum, err
-		}
-		// Drain in-flight scrapes briefly instead of cutting them off
-		// mid-response.
-		defer func() { _ = srv.ShutdownTimeout(2 * time.Second) }()
-		logf("serving /metrics and /debug/pprof/ on http://%s", srv.Addr())
-		if recorder != nil {
-			logf("flight recorder live at http://%s/debug/flight", srv.Addr())
-		}
+		s.live.mu.Lock()
+		s.live.recorder = recorder
+		s.live.mu.Unlock()
 	}
 
-	// Model hot-swap surfacing: the version gauge tracks swaps on this
-	// session's registry; a session that owns its store also emits the
-	// model_swap event and drives the file watch (a fleet does both
-	// fleet-wide instead).
-	started := time.Now()
-	if reg != nil {
-		g := reg.Gauge("vprofile_engine_model_version",
-			"current hot-swap model generation (1 = the model loaded at start)")
-		g.Set(int64(startVersion))
-		s.store.OnSwap(func(sm StoredModel) { g.Set(int64(sm.Version)) })
-	}
-	if driftMon != nil && s.ownDrift {
-		// A hot swap changes the distribution distances are drawn from:
-		// drift baselines re-freeze against the new model instead of
-		// reading the model change itself as drift. (Fleet-injected
-		// monitors are reset fleet-wide by the fleet instead.)
-		mon := driftMon
-		s.store.OnSwap(func(StoredModel) { mon.ResetBaseline() })
-	}
-	if s.ownStore {
-		if s.events != nil {
-			events := s.events
-			bus := s.name
-			s.store.OnSwap(func(sm StoredModel) {
-				_ = events.Emit(obs.Event{
-					TimeSec: time.Since(started).Seconds(), Kind: obs.EventModelSwap,
-					Bus: bus, Severity: obs.SeverityInfo,
-					Detail: modelSwapDetail(sm),
-				})
-			})
-		}
-		if s.watch > 0 {
-			if s.modelPath == "" {
-				return sum, errors.New("engine: model watch needs a model path")
-			}
-			stop := make(chan struct{})
-			defer close(stop)
-			go s.store.Watch(s.modelPath, s.watch, stop, s.logf)
-		}
-	}
-
-	mcfg := ids.CompositeConfig{Extraction: ExtractionFor(h), Models: s.store, Metrics: im}
+	mcfg := ids.CompositeConfig{Extraction: ExtractionFor(h), Models: f.store, Metrics: im}
 	if s.quarantine {
 		mcfg.Quarantine = &ids.QuarantineConfig{}
 		if s.quarCfg != nil {
 			mcfg.Quarantine = s.quarCfg
 		}
-		if incStream != nil {
+		if stream := s.incStream; stream != nil {
 			// Quarantine transitions reach the incident layer as
 			// structured notifications, not by polling: degradation
 			// escalates the covering incident and counts toward the
 			// bus's health occupancy. Sequence runs single-goroutine, in
 			// record order — exactly the order the correlator wants.
-			stream := incStream
 			mcfg.OnQuarantine = func(ch ids.QuarantineChange) {
 				stream.ObserveQuarantine(ch.SA, ch.To.String(), ch.AtSec)
 			}
@@ -542,26 +415,26 @@ func (s *Session) Run(sink Sink) (Summary, error) {
 			return nil
 		}
 	}
-	if driftMon != nil {
+	if s.driftMon != nil {
 		// Scored frames feed the drift sketches. Wrapped before the
 		// incident layer so per frame the correlator sees alarm evidence
 		// first and drift transitions second (the correlator re-checks
 		// standing drift on every alarm anyway).
-		mon, store, inner := driftMon, s.store, pfn
+		dm, store, inner := s.driftMon, f.store, pfn
 		pfn = func(r pipeline.Result) error {
-			ObserveDrift(mon, store, r)
+			ObserveDrift(dm, store, r)
 			if inner != nil {
 				return inner(r)
 			}
 			return nil
 		}
 	}
-	if incStream != nil {
+	if stream := s.incStream; stream != nil {
 		// Every verdict feeds the correlator, before the user sink, so
 		// a mid-run /fleet scrape is never behind the verdict stream.
 		// The wrapper exists even with no user sink — incidents are a
 		// consumer in their own right.
-		stream, inner := incStream, pfn
+		inner := pfn
 		pfn = func(r pipeline.Result) error {
 			stream.Observe(IncidentEvidence(r))
 			if inner != nil {
@@ -571,7 +444,7 @@ func (s *Session) Run(sink Sink) (Summary, error) {
 		}
 	}
 	rep, err := pipeline.New(mon, pipeline.Config{
-		Workers: s.workers, Batch: s.batch, Pool: s.pool, Metrics: pm, Recorder: recorder, StallTimeout: s.stall,
+		Batch: s.batch, Pool: f.pool, Metrics: pm, Recorder: recorder, StallTimeout: s.stall,
 	})
 	if err != nil {
 		return sum, err
@@ -582,41 +455,22 @@ func (s *Session) Run(sink Sink) (Summary, error) {
 	err = rep.Run(rd, pfn)
 	sum.Stats = rep.Stats()
 	if recorder != nil {
-		// Close before the event log: flushing truncated capture
-		// windows emits their flight events.
+		// Close before the fleet closes the event log: flushing
+		// truncated capture windows emits their flight events.
 		if cerr := recorder.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
 		fs := recorder.Stats()
 		sum.Flight = &fs
 	}
-	if s.ownInc {
-		// Close after the recorder (bundle tags emit their update
-		// events) and before the event log (resolve events must land in
-		// it).
-		sum.Incidents = s.inc.CloseOut()
-	}
-	if s.events != nil {
-		if s.ownEvents {
-			// Close even on a failed replay so the partial event stream
-			// and its stats snapshot survive for diagnosis.
-			if cerr := s.events.Close(reg); cerr != nil && err == nil {
-				err = cerr
-			}
-		} else if reg != nil {
-			// Shared (fleet) log: contribute a per-bus stats record; the
-			// fleet closes the log after every bus has.
-			_ = s.events.Emit(obs.Event{Kind: obs.EventStats, Bus: s.name, Stats: reg.Snapshot()})
-		}
-	}
-	if driftMon != nil {
-		snap := driftMon.Status()
+	if s.driftMon != nil {
+		snap := s.driftMon.Status()
 		sum.Drift = &snap
 	}
 	sum.Corruptions = rd.Corruptions()
 	sum.SilentStreams = mon.SilentStreams()
 	sum.DegradedSAs = mon.DegradedSAs()
-	sum.ModelVersion = s.store.Version()
+	sum.ModelVersion = f.store.Version()
 	sum.ModelSwaps = sum.ModelVersion - startVersion
 	sum.Gaps = rd.Gaps()
 	err = classify(err)
@@ -644,13 +498,21 @@ func (s *Session) Stop() {
 	}
 }
 
+// recorder returns the running session's flight recorder (nil before
+// Run builds it, or when flight recording is off).
+func (s *Session) recorder() *tracing.Recorder {
+	s.live.mu.Lock()
+	defer s.live.mu.Unlock()
+	return s.live.recorder
+}
+
 // Snapshot returns the session's state as of now, safe to call from
 // any goroutine at any time. Before Run starts streaming it returns a
 // zero summary; while the replay is live it returns a mid-stream view
 // (Live=true) with Stats, Corruptions, DegradedSAs, model versioning,
-// drift status and datagram gaps populated — SilentStreams, Incidents
-// and Flight are end-of-run analyses and stay empty; after Run it
-// returns the final Summary.
+// drift status and datagram gaps populated — SilentStreams and Flight
+// are end-of-run analyses and stay empty; after Run it returns the
+// final Summary.
 func (s *Session) Snapshot() Summary {
 	s.live.mu.Lock()
 	if s.live.final != nil {
@@ -658,8 +520,8 @@ func (s *Session) Snapshot() Summary {
 		s.live.mu.Unlock()
 		return sum
 	}
-	src, rep, driftMon, store, startVersion, started :=
-		s.live.src, s.live.rep, s.live.driftMon, s.live.store, s.live.startVersion, s.live.started
+	src, rep, store, startVersion, started :=
+		s.live.src, s.live.rep, s.live.store, s.live.startVersion, s.live.started
 	s.live.mu.Unlock()
 
 	sum := Summary{Bus: s.name, Capture: s.capture}
@@ -680,8 +542,9 @@ func (s *Session) Snapshot() Summary {
 		sum.ModelVersion = store.Version()
 		sum.ModelSwaps = sum.ModelVersion - startVersion
 	}
-	if driftMon != nil {
-		snap := driftMon.Status()
+	if s.driftMon != nil {
+		// Set by the fleet before started was published under mu.
+		snap := s.driftMon.Status()
 		sum.Drift = &snap
 	}
 	sum.Gaps = src.Gaps()

@@ -1,3 +1,16 @@
+// Package ids integrates vProfile into an intrusion detection system.
+// Its Composite fuses the detector families the paper's conclusion
+// recommends — vProfile voltage fingerprinting for sender
+// verification, a period monitor for timing anomalies, and J1939
+// transport reassembly — with a per-SA quarantine machine that
+// coalesces sustained alarms. A verdict splits into a stateless voltage
+// half (VoltageVerdict, safe to run concurrently) and a stateful
+// sequence half (Sequence, run in record order), which is what lets the
+// replay pipeline fan the hot path out across a worker pool.
+//
+// The paper positions vProfile as a component "that can integrate into
+// an IDS to enable message sender identification"; this package is
+// that integration layer.
 package ids
 
 import (

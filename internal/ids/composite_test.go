@@ -1,12 +1,66 @@
 package ids_test
 
 import (
+	"math/rand"
 	"testing"
 
+	"vprofile/internal/analog"
 	"vprofile/internal/canbus"
+	"vprofile/internal/core"
+	"vprofile/internal/experiments"
 	"vprofile/internal/ids"
 	"vprofile/internal/vehicle"
 )
+
+// buildModel trains a Mahalanobis model on Vehicle B traffic.
+func buildModel(t *testing.T, v *vehicle.Vehicle) *core.Model {
+	t.Helper()
+	train, err := experiments.CollectSamples(v, 1500, 7, nil, v.ExtractionConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.Train(experiments.CoreSamples(train), core.TrainConfig{
+		Metric: core.Mahalanobis, SAMap: v.SAMap(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	val, err := experiments.CollectSamples(v, 800, 8, nil, v.ExtractionConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	margin, _ := experiments.OptimizeMargin(experiments.FalsePositiveRecords(m, val), experiments.MaxAccuracy)
+	m.Margin = margin * 1.5
+	return m
+}
+
+// frameTrace renders one full frame (with EOF and trailing idle) from
+// ECU ecu's hardware under source address sa.
+func frameTrace(t *testing.T, v *vehicle.Vehicle, ecu int, sa canbus.SourceAddress, seed int64) analog.Trace {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	cfg := analog.SynthConfig{ADC: v.ADC, BitRate: v.BitRate, LeadIdleBits: 4}
+	e := v.ECUs[ecu]
+	spec := e.Messages[0]
+	id := spec.ID
+	id.SA = sa
+	data := make([]byte, spec.DataLen)
+	rng.Read(data)
+	frame, err := canbus.NewJ1939Frame(id, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := analog.SynthesizeFrame(e.Transceiver, frame, cfg, e.Transceiver.NominalEnvironment(), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle := make(analog.Trace, 15*int(v.ADC.SamplesPerBit(v.BitRate)))
+	recCode := v.ADC.VoltsToCode(0.012)
+	for i := range idle {
+		idle[i] = recCode
+	}
+	return append(tr, idle...)
+}
 
 func newComposite(t *testing.T, v *vehicle.Vehicle, warmup int) *ids.Composite {
 	t.Helper()
@@ -76,26 +130,12 @@ func TestCompositeCatchesHijackAndFlood(t *testing.T) {
 	}
 	// Hijack: ECU 7's hardware under ECU 2's address (continuing the
 	// timeline after the warm-up capture).
-	frames := []streamFrame{{ecu: 7, sa: v.ECUs[2].SAs()[0]}}
-	stream, _ := busStream(t, v, frames, 73)
-	det, err := ids.New(buildModel(t, v), ids.Config{Extraction: v.ExtractionConfig()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := det.Push(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 1 {
-		t.Fatalf("%d segmented frames", len(results))
-	}
-	// Feed the segmented hijack frame through the composite.
+	tr := frameTrace(t, v, 7, v.ECUs[2].SAs()[0], 73)
 	fr, err := canbus.NewJ1939Frame(canbus.J1939ID{Priority: 6, PGN: canbus.PGNBrakes, SA: v.ECUs[2].SAs()[0]}, make([]byte, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reuse the raw stream trace as the composite's input.
-	r := c.Process(fr, stream, 100.0)
+	r := c.Process(fr, tr, 100.0)
 	if !r.Anomalous() || !r.Voltage.Anomaly {
 		t.Fatalf("hijack not flagged: %+v", r.Voltage)
 	}

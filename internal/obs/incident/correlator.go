@@ -622,8 +622,20 @@ func (c *Correlator) emit(e obs.Event) {
 func (c *Correlator) CloseOut() []Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	// Resolve in creation order, not map order, so the resolve events
+	// and the retained history are the same on every run.
+	open := make([]*Incident, 0, len(c.open))
 	for key, in := range c.open {
 		delete(c.open, key)
+		open = append(open, in)
+	}
+	sort.Slice(open, func(i, j int) bool {
+		if len(open[i].ID) != len(open[j].ID) {
+			return len(open[i].ID) < len(open[j].ID)
+		}
+		return open[i].ID < open[j].ID
+	})
+	for _, in := range open {
 		in.State = StateResolved
 		in.ResolvedAt = c.now
 		in.Resolution = "end-of-run"
